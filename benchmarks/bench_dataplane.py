@@ -19,10 +19,11 @@ plane keeps alive (the :mod:`repro.runtime.legacy` pattern):
   occupancy, merge buckets of 4); the ≥ 2x cAdd gate is asserted at the
   512-bucket tier.  cAverage is reported alongside without a gate.
 * **fleet** — end-to-end events/sec of a seeded ``mixed_fleet`` DSFA
-  scenario run through ``MultiStreamSimulator`` on the ``"stack"`` data
-  plane (columnar ``(stack, index)`` transport, index-range merge buckets,
-  stack-backed batches) vs the ``"reference"`` per-frame oracle transport
-  driving :class:`~repro.runtime.legacy.ReferenceAggregator`.  Rendering
+  scenario run through ``MultiStreamSimulator`` on the production stack
+  transport (columnar ``(stack, index)`` events, index-range merge buckets,
+  stack-backed batches) vs the per-frame oracle transport
+  (:class:`~repro.runtime.legacy.ReferenceStreamClient` driving
+  :class:`~repro.runtime.legacy.ReferenceAggregator`).  Rendering
   is pre-cached outside the timed region on both sides, so the tier
   isolates the runtime transport.  Tiers are stream counts; the ≥ 2x gate
   is asserted at the 256-stream tier, along with a tracemalloc
@@ -64,6 +65,7 @@ from repro.experiments import format_table
 from repro.frames import HAS_NUMBA, FrameStack, SparseFrame
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
+from repro.runtime.legacy import ReferenceStreamClient
 from repro.scenarios import default_registry
 
 
@@ -277,9 +279,11 @@ def _fleet_rows():
                     source.generate_frames()
             per_plane[dataplane] = sources
 
+        clients = {"stack": None, "reference": ReferenceStreamClient}
+
         def run(dataplane):
             return MultiStreamSimulator(
-                platform, per_plane[dataplane], dataplane=dataplane
+                platform, per_plane[dataplane], client_factory=clients[dataplane]
             ).run()
 
         stack_report = run("stack")

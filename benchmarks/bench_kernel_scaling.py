@@ -38,10 +38,11 @@ Environment knobs (used by the CI smoke job):
 
 The memory-attribution tier (``test_kernel_memory_attribution``) compares
 the lazy arrival-cursor discipline against the eager horizon-wide oracle
-(``schedule_mode="eager"``): tracemalloc peak allocations and the kernel
-heap's high-water mark at each tier (``retain_records=False``, so queued
-events dominate), plus a doubled-horizon run showing the lazy heap is
-independent of horizon length while the eager heap tracks total frames.
+(``client_factory=EagerStreamClient``): tracemalloc peak allocations and
+the kernel heap's high-water mark at each tier (``retain_records=False``,
+so queued events dominate), plus a doubled-horizon run showing the lazy
+heap is independent of horizon length while the eager heap tracks total
+frames.
 Its rows land in the same ``BENCH_kernel_scaling.json`` trajectory under
 ``section="memory"``.
 
@@ -64,7 +65,11 @@ from repro.core import DSFAConfig
 from repro.experiments import format_table
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
-from repro.runtime.legacy import LegacyListServer, LegacyScanKernel
+from repro.runtime.legacy import (
+    EagerStreamClient,
+    LegacyListServer,
+    LegacyScanKernel,
+)
 from repro.scenarios.registry import default_registry
 from repro.scenarios.spec import ScenarioSpec
 
@@ -177,7 +182,7 @@ def test_kernel_scaling(benchmark):
     legacy_kwargs = dict(
         kernel_factory=LegacyScanKernel,
         server_factory=LegacyListServer,
-        schedule_mode="eager",
+        client_factory=EagerStreamClient,
     )
 
     rows = []
@@ -391,6 +396,9 @@ def test_kernel_memory_attribution():
         pytest.skip("KERNEL_MEMORY_TIERS is empty")
     platform = jetson_xavier_agx()
     sim_kwargs = dict(retain_records=False)
+    # Rows are labelled by arrival discipline in a ``schedule_mode`` column
+    # so they stay comparable with the committed trajectory.
+    clients = {"lazy": None, "eager": EagerStreamClient}
     base_duration = 0.2
 
     rows = []
@@ -400,7 +408,7 @@ def test_kernel_memory_attribution():
         sources = _fleet("steady", num_streams, duration=base_duration)
         for mode in ("lazy", "eager"):
             report, peak = _traced_run(
-                platform, sources, schedule_mode=mode, **sim_kwargs
+                platform, sources, client_factory=clients[mode], **sim_kwargs
             )
             peaks[num_streams, mode] = peak
             marks[num_streams, mode, base_duration] = report.heap_high_water
@@ -423,7 +431,7 @@ def test_kernel_memory_attribution():
     sources = _fleet("steady", horizon_streams, duration=long_duration)
     for mode in ("lazy", "eager"):
         report = MultiStreamSimulator(
-            platform, sources, schedule_mode=mode, **sim_kwargs
+            platform, sources, client_factory=clients[mode], **sim_kwargs
         ).run()
         marks[horizon_streams, mode, long_duration] = report.heap_high_water
         rows.append(

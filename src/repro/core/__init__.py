@@ -34,7 +34,21 @@ from .nmp import (
     SimulatedAnnealingStrategy,
     make_strategy,
 )
-from .pipeline import EvEdgePipeline, InferenceRecord, PipelineReport
+
+# The integrated pipeline sits above the runtime (it drives a StreamClient on
+# the simulation kernel), while the runtime builds on core's E2SF, DSFA and
+# NMP modules.  Loading it on first access keeps ``import repro.runtime``
+# from re-entering the runtime through this package.
+_PIPELINE_EXPORTS = ("EvEdgePipeline", "InferenceRecord", "PipelineReport")
+
+
+def __getattr__(name):
+    if name in _PIPELINE_EXPORTS:
+        from . import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Event2SparseFrameConverter",

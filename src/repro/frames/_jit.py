@@ -5,8 +5,8 @@ vectorised numpy path that every environment runs, and tight per-element
 loops that numba can compile to machine code when it happens to be
 installed.  numba is **never** a dependency of this package — the decorator
 below degrades to a no-op, the loop kernels simply stay unused, and the
-numpy path serves production (the benchmark gates in
-``benchmarks/bench_dataplane.py`` are asserted numpy-only).
+numpy path serves production (the data-plane benchmark's gates are
+asserted numpy-only).
 
 This mirrors the ``jit_ifnumba`` idiom of rosettasciio's stream-to-sparse
 readers: decorate unconditionally, dispatch on :data:`HAS_NUMBA` at the call

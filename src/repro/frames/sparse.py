@@ -483,9 +483,9 @@ class SparseFrame:
         """The pre-columnar ``np.unique``-based cAdd merge.
 
         Deliberately unoptimized code kept alive as the equivalence oracle
-        for :meth:`add` (the :mod:`repro.runtime.legacy` pattern):
-        ``benchmarks/bench_dataplane.py`` measures the merge speedup against
-        it and the frame tests assert bit-identical output.
+        for :meth:`add` (the :mod:`repro.runtime.legacy` pattern): the
+        data-plane benchmark measures the merge speedup against it and the
+        frame tests assert bit-identical output.
         """
         frames = list(frames)
         if not frames:

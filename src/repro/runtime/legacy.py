@@ -1,4 +1,4 @@
-"""Pre-refactor reference implementations of the kernel hot path.
+"""Reference implementations of the runtime hot path, kept as oracles.
 
 The fleet-scale refactor (O(1) event routing in
 :class:`~repro.runtime.sim.SimulationKernel`, indexed pending queues and
@@ -32,29 +32,31 @@ as oracles so that claim stays machine-checked:
   chain walk instead of graph propagation.  The divergence tests use it
   to pin that graph propagation is bit-identical on serial networks and
   diverges exactly at DAG join nodes.
-* :class:`ReferenceAggregator` — the fully per-frame DSFA driven by the
-  ``"reference"`` data plane: placement probes re-merge whole frame lists
-  per call (``SparseFrame.add_reference``) and every dispatch merges bucket
-  by bucket, with no stack ranges or segmented grouped-reduce anywhere.
+* :class:`ReferenceAggregator` — the fully per-frame DSFA driven by
+  :class:`ReferenceStreamClient`: placement probes re-merge whole frame
+  lists per call (``SparseFrame.add_reference``) and every dispatch merges
+  bucket by bucket, with no stack ranges or segmented grouped-reduce
+  anywhere.
+* :class:`EagerStreamClient` — the pre-cursor arrival discipline: every
+  arrival of the horizon is heaped at prime time, so the kernel heap grows
+  to O(total frames) instead of O(active streams).
+* :class:`ReferenceStreamClient` — the per-frame transport: ``FrameReady``
+  events carry materialised frames from
+  :meth:`~repro.runtime.streams.StreamSource.generate_frames` and DSFA runs
+  on :class:`ReferenceAggregator`.
 
-Both implement the *current* accounting semantics (per-member latency
-shares, the queued-service backlog estimate) on the *old* data structures —
-they isolate the performance refactor, not the accounting bugfixes, so the
-equivalence tests compare like with like.  ``MultiStreamSimulator(...,
-kernel_factory=LegacyScanKernel, server_factory=LegacyListServer)`` runs a
-fleet on the legacy path; ``benchmarks/bench_kernel_scaling.py`` uses the
-same hooks to report the refactor's speedup.
-
-One oracle deliberately does *not* live here: the eager horizon-wide
-arrival scheduler is selected with ``schedule_mode="eager"`` on
-:class:`~repro.runtime.streams.StreamClient` /
-:class:`~repro.runtime.streams.MultiStreamSimulator` rather than via a
-factory, because scheduling discipline is orthogonal to the data
-structures — the legacy kernel/server above inherit
-:meth:`~repro.runtime.sim.SimulationKernel.schedule` and
-:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences` unchanged and
-run under either discipline (heap high-water tracking included), so the
-equivalence grid composes freely across both axes.
+The kernel and server oracles implement the *current* accounting semantics
+(per-member latency shares, the queued-service backlog estimate) on the
+*old* data structures — they isolate the performance refactor, not the
+accounting bugfixes, so the equivalence tests compare like with like.
+Every oracle plugs into :class:`~repro.runtime.streams.MultiStreamSimulator`
+through a factory hook: ``kernel_factory=LegacyScanKernel,
+server_factory=LegacyListServer`` runs a fleet on the legacy structures,
+``cost_model_factory`` takes the cost oracles and ``client_factory`` the
+two stream clients.  The hooks compose freely — the legacy kernel and
+server inherit :meth:`~repro.runtime.sim.SimulationKernel.schedule` and
+:meth:`~repro.runtime.sim.SimulationKernel.reserve_sequences` unchanged,
+so they run under either arrival discipline.
 
 Like :func:`~repro.core.nmp.scheduler.ExecutionScheduler.schedule_reference`
 for the NMP fast path, this is deliberately unoptimized code kept for
@@ -77,12 +79,15 @@ from ..frames.sparse import SparseFrame, SparseFrameBatch
 from ..nn.occupancy import OccupancyProfile
 from .executor import SignatureServer, _PendingDispatch
 from .sim import (
+    DispatchBatch,
+    FrameReady,
     InferenceDone,
     NetworkCostModel,
     QueueEvict,
     SimEvent,
     SimulationKernel,
 )
+from .streams import StreamClient
 
 __all__ = [
     "LegacyScanKernel",
@@ -91,6 +96,8 @@ __all__ = [
     "ChainCostModel",
     "ReferenceMergeBucket",
     "ReferenceAggregator",
+    "EagerStreamClient",
+    "ReferenceStreamClient",
 ]
 
 
@@ -318,22 +325,16 @@ class ReferenceMergeBucket(MergeBucket):
 class ReferenceAggregator(DynamicSparseFrameAggregator):
     """The fully per-frame DSFA: reference buckets, per-bucket merges.
 
-    The ``"reference"`` data plane's aggregator
-    (:data:`~repro.runtime.streams.DATAPLANES`): placement probes re-merge
-    frame lists per call and every dispatch merges bucket by bucket through
-    ``add_reference`` — no stack ranges, no segmented grouped-reduce pass.
-    Dispatch decisions and merged values are bit-identical to the
-    production aggregator; ``benchmarks/bench_dataplane.py`` measures the
-    columnar transport's fleet speedup against it.
+    The aggregator of :class:`ReferenceStreamClient`: placement probes
+    re-merge frame lists per call and every dispatch merges bucket by bucket
+    through ``add_reference`` — no stack ranges, no segmented grouped-reduce
+    pass.  Dispatch decisions and merged values are bit-identical to the
+    production aggregator; the data-plane benchmark measures the columnar
+    transport's fleet speedup against it.
     """
 
     def _bucket_factory(self, capacity: int) -> MergeBucket:
         return ReferenceMergeBucket(capacity=capacity)
-
-    def push_index(self, stack, index, hardware_available=False):
-        # The reference transport materialises frames; an index push is
-        # routed through the per-frame path so oracle buckets stay uniform.
-        return self.push(stack.frame(index), hardware_available=hardware_available)
 
     def _merge_buckets(self) -> SparseFrameBatch:
         average = self.config.merge_mode is MergeMode.AVERAGE
@@ -346,3 +347,76 @@ class ReferenceAggregator(DynamicSparseFrameAggregator):
                 frame = frame.scale(1.0 / len(bucket.frames))
             merged.append(frame)
         return SparseFrameBatch(merged)
+
+
+class EagerStreamClient(StreamClient):
+    """The pre-cursor arrival discipline: the whole horizon heaped at prime.
+
+    The production :meth:`~repro.runtime.streams.StreamClient.prime`
+    reserves the stream's sequence block and heaps arrival 0; this oracle
+    then heaps arrivals ``1..count-1`` on their reserved slots and parks the
+    cursor at the end, so every ``(time, priority, seq)`` tuple — and
+    therefore every report — is identical to the lazy cursor's while the
+    kernel heap holds O(total frames).
+    """
+
+    def prime(self) -> None:
+        super().prime()
+        for index in range(1, self._num_frames):
+            self.kernel.schedule(self._frame_event(index), seq=self._seq_base + index)
+        self._cursor = self._num_frames
+
+
+class ReferenceStreamClient(StreamClient):
+    """The per-frame transport: materialised frames and the reference DSFA.
+
+    ``FrameReady`` events carry frame objects from
+    :meth:`~repro.runtime.streams.StreamSource.generate_frames` (the
+    rendered list is held on the client cursor, not closed over by queued
+    events), DSFA runs on :class:`ReferenceAggregator` and no-DSFA
+    dispatches wrap one frame per :class:`SparseFrameBatch`.  Arrival
+    scheduling is the production lazy cursor.  Reports are bit-identical to
+    the stack transport; the data-plane benchmark measures the columnar
+    transport's fleet speedup against this client.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.aggregator is not None:
+            self.aggregator = ReferenceAggregator(self.config.dsfa)
+        self._frame_seq: List[Tuple[float, SparseFrame]] = []
+
+    def prime(self) -> None:
+        self._frame_seq = self.source.generate_frames()
+        self._schedule_arrivals([arrival for arrival, _ in self._frame_seq])
+
+    def _frame_event(self, index: int) -> FrameReady:
+        arrival, frame = self._frame_seq[index]
+        return FrameReady(time=arrival, stream=self.name, frame=frame)
+
+    def _on_frame(self, event: FrameReady) -> None:
+        cursor = self._cursor
+        if cursor < self._num_frames:
+            self._cursor = cursor + 1
+            self.kernel.schedule(
+                self._frame_event(cursor), seq=self._seq_base + cursor
+            )
+        arrival = event.time
+        if self.aggregator is not None:
+            batch = self.aggregator.push(
+                event.frame,
+                hardware_available=arrival >= self.executor.busy_until(self),
+            )
+            if batch is not None:
+                self.report.frames_merged += len(batch)
+                self.kernel.schedule(
+                    DispatchBatch(time=arrival, stream=self.name, batch=batch)
+                )
+            return
+        if self._backlog_drop(arrival):
+            return
+        self.kernel.schedule(
+            DispatchBatch(
+                time=arrival, stream=self.name, batch=SparseFrameBatch([event.frame])
+            )
+        )

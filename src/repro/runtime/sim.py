@@ -112,18 +112,14 @@ class PipelineReport:
     keeps full records, which traces and the per-record regression tests
     rely on.
 
-    ``records`` stays a plain mutable list for backward compatibility; a
-    report whose list was appended to directly (bypassing
-    :meth:`add_records`) falls back to recomputing its aggregates from the
-    records with the same sequential formulas.
-
     ``record_limit`` bounds the retained list to the *most recent* N
     records (oldest entries are discarded as new ones arrive) while the
     streaming aggregates keep accounting every record — the middle ground
     between full retention and ``keep_records=False`` for long-horizon
-    fleets that still want a tail of records for inspection.  A limited
-    report never takes the direct-mutation recompute fallback: its list is
-    intentionally shorter than ``_num_records``.
+    fleets that still want a tail of records for inspection.
+
+    Records enter through :meth:`add_records` only: appending to
+    ``records`` directly bypasses the accumulators.
     """
 
     __slots__ = (
@@ -216,25 +212,7 @@ class PipelineReport:
         return merged
 
     def _accumulators(self) -> Tuple[int, float, float, float, float]:
-        """(count, latency_sum, energy_sum, occupancy_sum, max_end_time).
-
-        Recomputed from ``records`` when the list was mutated directly —
-        never for a ``record_limit``-bounded report, whose trimmed list is
-        legitimately shorter than the accounted record count.
-        """
-        if (
-            self.keep_records
-            and self.record_limit is None
-            and len(self.records) != self._num_records
-        ):
-            latency = energy = occupancy = max_end = 0.0
-            for record in self.records:
-                latency += record.latency
-                energy += record.energy
-                occupancy += record.occupancy
-                if record.end_time > max_end:
-                    max_end = record.end_time
-            return len(self.records), latency, energy, occupancy, max_end
+        """(count, latency_sum, energy_sum, occupancy_sum, max_end_time)."""
         return (
             self._num_records,
             self._latency_sum,
@@ -246,33 +224,31 @@ class PipelineReport:
     @property
     def num_inferences(self) -> int:
         """Number of network invocations performed."""
-        return self._accumulators()[0]
+        return self._num_records
 
     @property
     def total_time(self) -> float:
         """Wall-clock completion time of the last inference."""
-        return self._accumulators()[4]
+        return self._max_end_time
 
     @property
     def mean_latency(self) -> float:
         """Mean per-inference latency (dispatch to completion), seconds."""
-        count, latency_sum, _, _, _ = self._accumulators()
-        if count == 0:
+        if self._num_records == 0:
             return 0.0
-        return latency_sum / count
+        return self._latency_sum / self._num_records
 
     @property
     def total_energy(self) -> float:
         """Total energy in joules."""
-        return self._accumulators()[2]
+        return self._energy_sum
 
     @property
     def mean_occupancy(self) -> float:
         """Mean input occupancy across inferences."""
-        count, _, _, occupancy_sum, _ = self._accumulators()
-        if count == 0:
+        if self._num_records == 0:
             return 0.0
-        return occupancy_sum / count
+        return self._occupancy_sum / self._num_records
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +358,13 @@ class DispatchBatch(SimEvent):
 class FrameReady(SimEvent):
     """A sparse frame became available on a traffic stream.
 
-    Two transports share this event.  The columnar (default) data plane
-    carries a ``(stack, index)`` reference into the stream's rendered
+    Two transports share this event.  The production stream client carries
+    a ``(stack, index)`` reference into the stream's rendered
     :class:`~repro.frames.stack.FrameStack` — no per-frame object exists
     unless a consumer reads :attr:`frame`, which materialises (and caches)
-    a zero-copy view.  The per-frame oracle paths carry a materialised
-    ``frame`` directly and leave ``stack`` as ``None``.
+    a zero-copy view.  The per-frame reference client
+    (:class:`~repro.runtime.legacy.ReferenceStreamClient`) carries a
+    materialised ``frame`` directly and leaves ``stack`` as ``None``.
     """
 
     __slots__ = ("_frame", "stack", "index")

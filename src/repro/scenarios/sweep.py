@@ -5,7 +5,7 @@ model and a serving :class:`SweepPolicy` — and owns a content hash over all
 three, the **cache key**: each finished cell is written to
 ``<cache_dir>/<hash>.json``; re-running a sweep loads clean cells from disk
 and only simulates the *dirty* ones (changed spec, platform, policy or
-code-salt).
+``repro`` source code).
 
 Per-cell seeds are deterministic by construction: a cell's workload seed is
 its scenario's ``spec.seed``, which is part of the content hash, so a
@@ -28,6 +28,8 @@ families need a fork context or ``workers=1``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -60,25 +62,23 @@ PLATFORMS = {
     "orin_nano": jetson_orin_nano,
 }
 
-# Bump when simulator semantics change in a way that invalidates cached cell
-# results despite unchanged specs (part of every cell's content hash).
-# v2: occupancy buckets round nonzero values up to the first bucket, the
-# no-DSFA drop rule includes queued service time, and mean aggregates are
-# streaming (sequential) sums.
-# v3: cost semantics change under per-layer occupancy profiles — the default
-# sweep policy costs each stream with a propagated per-layer occupancy
-# profile (cost_mode="profile") instead of the flat scalar path, and
-# same-family streams share rendered sequences through a seed pool.
-# v4: policies gain a ``shards`` axis (sharded runtime) and rows record it;
-# cells cached by unsharded runs must not alias sharded ones.
-# v5: graph-aware occupancy propagation — profile-mode costs change for every
-# DAG network (multi-input layers now combine all predecessor supports), so
-# profile cells cached under the chain walk are stale.
-# v6: policies gain a ``schedule_mode`` axis (lazy arrival cursors vs the
-# eager horizon-wide oracle) and rows record it alongside the kernel's heap
-# high-water mark.  Results are bit-identical across modes, but the row
-# schema changed and cells must not alias across the new axis.
-_CACHE_SALT = "scenario-sweep-v6"
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """Digest of every ``*.py`` source of the installed ``repro`` package.
+
+    Part of every cell's content hash: any change to the simulator's code
+    dirties every cached row, so a stale row can never be served after a
+    semantics change.  Computed on first use and cached for the process.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,6 @@ class SweepPolicy:
         single-process kernel; >1 partitions the fleet by signature across
         epoch-synced shards, see :mod:`repro.runtime.shard`).  Inside pool
         workers the shards run inline — daemonic workers cannot fork.
-    schedule_mode:
-        Arrival-scheduling discipline
-        (:data:`repro.runtime.streams.SCHEDULE_MODES`).  ``"lazy"``
-        (default) keeps the kernel heap at O(active streams) via per-stream
-        arrival cursors; ``"eager"`` heaps the whole horizon at prime time
-        — the bit-identical oracle kept selectable for memory-plane
-        comparisons (the ``eager_schedule`` built-in).
     """
 
     name: str
@@ -122,7 +115,6 @@ class SweepPolicy:
     optimization: Optional[str] = None
     cost_mode: str = "profile"
     shards: int = 1
-    schedule_mode: str = "lazy"
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -133,7 +125,6 @@ BUILTIN_POLICIES = {
     "unbatched": SweepPolicy("unbatched", max_merge_streams=1),
     "exact_costs": SweepPolicy("exact_costs", occupancy_resolution=None),
     "flat_costs": SweepPolicy("flat_costs", cost_mode="flat"),
-    "eager_schedule": SweepPolicy("eager_schedule", schedule_mode="eager"),
 }
 
 
@@ -153,14 +144,14 @@ class SweepCell:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "salt": _CACHE_SALT,
+            "code": _source_digest(),
             "scenario": self.scenario.to_dict(),
             "platform": self.platform,
             "policy": self.policy.to_dict(),
         }
 
     def content_hash(self) -> str:
-        """Cache identity of the cell (spec + platform + policy + salt)."""
+        """Cache identity of the cell (spec + platform + policy + code)."""
         return content_digest(self.to_dict())
 
     @property
@@ -244,7 +235,6 @@ def simulate_cell(cell: SweepCell) -> Dict[str, object]:
         max_merge_streams=cell.policy.max_merge_streams,
         cost_mode=cell.policy.cost_mode,
         shards=cell.policy.shards,
-        schedule_mode=cell.policy.schedule_mode,
     )
     report = simulator.run()
     return {
@@ -254,7 +244,6 @@ def simulate_cell(cell: SweepCell) -> Dict[str, object]:
         "policy": cell.policy.name,
         "cost_mode": report.cost_mode,
         "shards": report.shards,
-        "schedule_mode": cell.policy.schedule_mode,
         "heap_high_water": report.heap_high_water,
         "hash": cell.content_hash(),
         "seed": cell.workload_seed,

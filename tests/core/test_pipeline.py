@@ -129,11 +129,13 @@ class TestPipeline:
                     max(occupancy, 1e-4), max(len(batch), 1)
                 )
                 start = max(dispatch_time, busy_until)
-                report.records.append(
-                    InferenceRecord(
-                        dispatch_time, start, start + latency,
-                        len(batch), occupancy, energy,
-                    )
+                report.add_records(
+                    [
+                        InferenceRecord(
+                            dispatch_time, start, start + latency,
+                            len(batch), occupancy, energy,
+                        )
+                    ]
                 )
                 return start + latency
 

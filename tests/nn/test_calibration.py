@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core  # noqa: F401 — core must load before runtime (import cycle)
 from repro.models import available_networks, build_network
 from repro.nn import (
     estimate_firing_fractions,

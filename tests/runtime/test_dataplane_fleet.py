@@ -6,9 +6,10 @@ bit-identical to ``generate_frames_reference`` (the per-interval ``convert``
 loop) across every built-in scenario family, and the end-to-end
 ``MultiStreamReport`` aggregates of a seeded 256-stream DSFA fleet must be
 unchanged when the reference frames are substituted for the stack frames.
-The end-to-end stack transport extends the bar: all three data planes
-(:data:`repro.runtime.DATAPLANES`) must produce identical aggregates on
-every family.
+The end-to-end stack transport extends the bar: the production client and
+the per-frame reference client
+(:class:`~repro.runtime.legacy.ReferenceStreamClient`) must produce
+identical aggregates on every family.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core  # noqa: F401  (import order: runtime pulls core.nmp lazily)
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
+from repro.runtime.legacy import ReferenceStreamClient
 from repro.scenarios import default_registry
 
 SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
@@ -90,18 +91,16 @@ class TestFleetAggregatesUnchanged:
         fleet = dict(num_streams=256, duration=0.25, scale=0.1, num_bins=4, seed=42)
 
         stack_sources = registry.compile("mixed_fleet", **fleet)
-        stack_report = MultiStreamSimulator(
-            platform, stack_sources, dataplane="stack"
-        ).run()
+        stack_report = MultiStreamSimulator(platform, stack_sources).run()
 
         oracle_sources = registry.compile("mixed_fleet", **fleet)
         for source in oracle_sources:
             # Pre-seed the render cache with the per-interval oracle frames:
-            # the reference data plane then consumes the fully pre-columnar
+            # the reference client then consumes the fully pre-columnar
             # pipeline — oracle render, per-frame transport, reference DSFA.
             source._frames = source.generate_frames_reference()
         oracle_report = MultiStreamSimulator(
-            platform, oracle_sources, dataplane="reference"
+            platform, oracle_sources, client_factory=ReferenceStreamClient
         ).run()
 
         assert stack_report.num_streams == 256
@@ -111,13 +110,13 @@ class TestFleetAggregatesUnchanged:
     def test_all_families_aggregates_identical_across_dataplanes(
         self, registry, platform
     ):
+        assert len(registry.families()) >= 6
         for family in registry.families():
             results = {}
-            for dataplane in ("stack", "frames", "reference"):
+            for client_factory in (None, ReferenceStreamClient):
                 sources = registry.compile(family, **SMALL)
                 report = MultiStreamSimulator(
-                    platform, sources, dataplane=dataplane
+                    platform, sources, client_factory=client_factory
                 ).run()
-                results[dataplane] = _aggregates(report)
-            assert results["stack"] == results["frames"], family
-            assert results["stack"] == results["reference"], family
+                results[client_factory] = _aggregates(report)
+            assert results[None] == results[ReferenceStreamClient], family

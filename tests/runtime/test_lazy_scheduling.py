@@ -1,14 +1,15 @@
 """Lazy arrival-cursor scheduling: equivalence, churn cuts and heap bounds.
 
-The scheduling refactor must be *provably report-identical*: with
-``schedule_mode="lazy"`` (the default) each stream keeps at most one queued
-``FrameReady`` — the handler self-reschedules the successor onto a
-pre-reserved kernel sequence number — and the resulting
+The scheduling refactor must be *provably report-identical*: the
+production :class:`~repro.runtime.streams.StreamClient` keeps at most one
+queued ``FrameReady`` per stream — the handler self-reschedules the
+successor onto a pre-reserved kernel sequence number — and the resulting
 ``MultiStreamReport`` must be bit-identical to the eager horizon-wide
-oracle (``schedule_mode="eager"``) across every scenario family, every
-data plane and the sharded runtime.  The payoff the suite pins alongside
-the equivalence: the kernel heap's high-water mark scales with *active
-streams* under lazy scheduling and with *total frames* under eager.
+oracle (``client_factory=EagerStreamClient``) across every scenario family,
+the per-frame reference transport and the sharded runtime.  The payoff the
+suite pins alongside the equivalence: the kernel heap's high-water mark
+scales with *active streams* under lazy scheduling and with *total frames*
+under eager.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.core  # noqa: F401  (import order: runtime pulls core.nmp lazily)
 from repro.hw import jetson_xavier_agx
-from repro.runtime import (
-    DATAPLANES,
-    SCHEDULE_MODES,
-    KernelTrace,
-    MultiStreamSimulator,
-    SimulationKernel,
-)
+from repro.runtime import KernelTrace, MultiStreamSimulator, SimulationKernel
+from repro.runtime.legacy import EagerStreamClient, ReferenceStreamClient
 from repro.runtime.sim import FrameReady, PipelineReport
 from repro.scenarios import default_registry
 
@@ -37,6 +32,8 @@ SMALL = dict(num_streams=3, duration=0.3, scale=0.1, num_bins=4)
 # Lazy heap budget per active stream: one queued FrameReady + one StreamEnd
 # per live stream, plus in-flight dispatch / completion / eviction events.
 HEAP_FACTOR = 4
+
+EAGER = dict(client_factory=EagerStreamClient)
 
 
 @pytest.fixture(scope="module")
@@ -54,35 +51,22 @@ def _run(platform, sources, **kwargs):
 
 
 class TestLazyEagerEquivalence:
-    def test_modes_are_registered(self):
-        assert SCHEDULE_MODES == ("lazy", "eager")
-        with pytest.raises(ValueError, match="schedule_mode"):
-            MultiStreamSimulator(
-                jetson_xavier_agx(),
-                default_registry().compile("steady", **SMALL),
-                schedule_mode="speculative",
-            )
-
     def test_all_families_all_dataplanes_bit_identical(self, registry, platform):
         assert len(registry.families()) >= 6
         for family in registry.families():
             sources = registry.compile(family, **SMALL)
-            for dataplane in DATAPLANES:
-                lazy = _run(platform, sources, dataplane=dataplane)
-                eager = _run(
-                    platform, sources, dataplane=dataplane, schedule_mode="eager"
-                )
-                assert lazy.events_processed == eager.events_processed, (
-                    family,
-                    dataplane,
-                )
-                assert_reports_identical(lazy, eager)
-                # The equivalence is not vacuous: lazy runs kept strictly
-                # fewer events queued than the horizon-wide prime.
-                assert lazy.heap_high_water < eager.heap_high_water, (
-                    family,
-                    dataplane,
-                )
+            lazy = _run(platform, sources)
+            eager = _run(platform, sources, **EAGER)
+            reference = _run(
+                platform, sources, client_factory=ReferenceStreamClient
+            )
+            for oracle in (eager, reference):
+                assert lazy.events_processed == oracle.events_processed, family
+                assert_reports_identical(lazy, oracle)
+            # The equivalence is not vacuous: lazy runs kept strictly fewer
+            # events queued than the horizon-wide prime.
+            assert lazy.heap_high_water < eager.heap_high_water, family
+            assert reference.heap_high_water == lazy.heap_high_water, family
 
     def test_two_shard_process_mode_bit_identical(self, registry, platform):
         sources = registry.compile(
@@ -90,7 +74,7 @@ class TestLazyEagerEquivalence:
         )
         kwargs = dict(shards=2, shard_mode="process")
         lazy = _run(platform, sources, **kwargs)
-        eager = _run(platform, sources, schedule_mode="eager", **kwargs)
+        eager = _run(platform, sources, **EAGER, **kwargs)
         assert lazy.shards == 2
         assert_reports_identical(lazy, eager)
         # Epoch pause/resume must not lose a cursor: every barrier row saw
@@ -153,7 +137,7 @@ class TestChurnCursorCut:
         churned = [s for s in sources if s.stop_time is not None]
         assert churned, "churn family must produce stop_time windows"
         lazy = _run(platform, sources)
-        eager = _run(platform, sources, schedule_mode="eager")
+        eager = _run(platform, sources, **EAGER)
         for source in sources:
             if source.stop_time is None:
                 continue
@@ -209,7 +193,7 @@ class TestHeapHighWater:
         )
         platform = jetson_xavier_agx()
         lazy = _run(platform, sources)
-        eager = _run(platform, sources, schedule_mode="eager")
+        eager = _run(platform, sources, **EAGER)
         assert lazy.frames_generated == eager.frames_generated
         assert lazy.frames_generated > HEAP_FACTOR * streams
         # Lazy: O(active streams).  Eager: the whole horizon is queued.
@@ -225,8 +209,8 @@ class TestHeapHighWater:
                 "steady", num_streams=32, duration=duration, scale=0.06, num_bins=4
             )
             marks[duration] = {
-                mode: _run(platform, sources, schedule_mode=mode).heap_high_water
-                for mode in SCHEDULE_MODES
+                "lazy": _run(platform, sources).heap_high_water,
+                "eager": _run(platform, sources, **EAGER).heap_high_water,
             }
         # Doubling the horizon must not grow the lazy heap (beyond event
         # jitter), while the eager heap tracks the doubled frame count.
@@ -246,7 +230,6 @@ class TestBoundedRetention:
         assert len(ring) == 32
         assert list(ring.entries) == full.entries[-32:]
         assert ring.entries_dropped == len(full) - 32
-        assert ring.dropped_entries == ring.entries_dropped  # compat alias
         assert f"... {ring.entries_dropped} more events" in ring.format_log(
             max_rows=32
         )
@@ -307,14 +290,16 @@ class TestFramesPlaneCursor:
     def test_frames_plane_holds_sequence_on_client_not_in_events(
         self, registry, platform
     ):
-        """Satellite fix: on the per-frame transports the rendered list
-        lives on the client cursor; in lazy mode the heap never holds more
-        than one of the stream's frames at a time."""
+        """On the per-frame reference transport the rendered list lives on
+        the client cursor; the heap never holds more than one of the
+        stream's frames at a time."""
         sources = registry.compile("steady", **SMALL)
-        simulator = MultiStreamSimulator(platform, sources, dataplane="frames")
+        simulator = MultiStreamSimulator(
+            platform, sources, client_factory=ReferenceStreamClient
+        )
         kernel, clients, _ = simulator._setup(None)
         for client in clients:
-            assert client._frame_seq is not None
+            assert len(client._frame_seq) == client._num_frames
             assert client._stack is None
         # At prime time the heap holds one FrameReady + one StreamEnd per
         # stream — not the horizon.
@@ -323,7 +308,5 @@ class TestFramesPlaneCursor:
         assert kernel.pending_events == 2 * len(clients)
         end_time = kernel.run()
         report = simulator._finalize(kernel, clients, 0, None, end_time)
-        eager = _run(
-            platform, sources, dataplane="frames", schedule_mode="eager"
-        )
+        eager = _run(platform, sources, **EAGER)
         assert_reports_identical(report, eager)

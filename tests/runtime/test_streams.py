@@ -20,6 +20,7 @@ from repro.runtime import (
     StreamClient,
     StreamSource,
 )
+from repro.runtime.legacy import ReferenceStreamClient
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +568,7 @@ class TestStackTransportAccounting:
     def test_stack_index_evictions_match_drop_totals(self, platform, sequence):
         # Stack-index transport must keep the QueueEvict accounting exact:
         # every dropped frame corresponds to an evicted stack index, and the
-        # per-frame data plane evicts the same totals.
+        # per-frame reference client evicts the same totals.
         heavy = build_network("adaptive_spikenet", 128, 128)
         config = EvEdgeConfig(
             num_bins=10,
@@ -575,14 +576,14 @@ class TestStackTransportAccounting:
             dsfa=DSFAConfig(inference_queue_depth=1),
         )
         totals = {}
-        for dataplane in ("stack", "frames"):
+        for client_factory in (None, ReferenceStreamClient):
             sources = [
                 StreamSource(f"s{i}", sequence, heavy, config, start_offset=0.001 * i)
                 for i in range(8)
             ]
             trace = KernelTrace()
             report = MultiStreamSimulator(
-                platform, sources, dataplane=dataplane
+                platform, sources, client_factory=client_factory
             ).run(trace=trace)
             evicted = sum(
                 int(dict(p.split("=", 1) for p in e.detail.split())["frames"])
@@ -591,5 +592,8 @@ class TestStackTransportAccounting:
             )
             assert report.frames_dropped > 0
             assert report.frames_dropped == evicted
-            totals[dataplane] = (report.frames_dropped, self._aggregates(report))
-        assert totals["stack"] == totals["frames"]
+            totals[client_factory] = (
+                report.frames_dropped,
+                self._aggregates(report),
+            )
+        assert totals[None] == totals[ReferenceStreamClient]

@@ -257,6 +257,20 @@ class TestSweep:
         assert row["shards"] == 2
         assert simulate_cell(unsharded)["shards"] == 1
 
+    def test_cache_identity_tracks_source_digest(self, monkeypatch):
+        # The cache identity derives from the package sources: the same
+        # tree hashes a cell identically (even after the per-process digest
+        # is recomputed), and any source change dirties it.
+        from repro.scenarios import sweep
+
+        cell = self._cells(scenarios=("steady",))[0]
+        before = cell.content_hash()
+        sweep._source_digest.cache_clear()
+        assert SweepCell(cell.scenario).content_hash() == before
+        assert cell.to_dict()["code"] == sweep._source_digest()
+        monkeypatch.setattr(sweep, "_source_digest", lambda: "patched")
+        assert cell.content_hash() != before
+
     def test_sharded_cells_run_inside_pool_workers(self, tmp_path):
         # Daemonic pool workers cannot fork shard processes; the sharded
         # simulator must fall back to the inline protocol and still match
