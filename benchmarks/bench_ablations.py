@@ -86,7 +86,7 @@ def test_ablation_dsfa_merge_modes(benchmark, settings):
     )
     converter = Event2SparseFrameConverter(settings.num_bins)
     t0, t1 = sequence.frames[0].timestamp, sequence.frames[-1].timestamp
-    frames = converter.convert(sequence.events, t0, t1)
+    stack = converter.convert_stack(sequence.events, [t0, t1])
 
     def sweep():
         out = {}
@@ -94,8 +94,8 @@ def test_ablation_dsfa_merge_modes(benchmark, settings):
             aggregator = DynamicSparseFrameAggregator(
                 DSFAConfig(event_buffer_size=8, merge_bucket_size=4, merge_mode=mode)
             )
-            for frame in frames:
-                aggregator.push(frame)
+            for index in range(len(stack)):
+                aggregator.push_index(stack, index)
             batch = aggregator.flush()
             out[mode.value] = len(batch) if batch is not None else 0
         return out

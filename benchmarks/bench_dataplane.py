@@ -10,9 +10,9 @@ plane keeps alive (the :mod:`repro.runtime.legacy` pattern):
   per-bin :meth:`~repro.core.e2sf.Event2SparseFrameConverter.
   convert_sequence` loop.  Tiers are total event bins per recording; the
   ≥ 3x acceptance gate is asserted at the 1024-bin tier.
-* **merge** — frames-merged/sec of the segmented
-  :meth:`~repro.frames.stack.FrameStack.merge_groups` dispatch kernel
-  (all buckets reduced in one grouped pass) vs one
+* **merge** — frames-merged/sec of the DSFA dispatch kernel
+  :meth:`~repro.frames.stack.FrameStack.merge_ranges` (every bucket, as an
+  index range into one packed stack, reduced in one grouped pass) vs one
   :meth:`~repro.frames.sparse.SparseFrame.add_reference`
   (``np.unique`` + ``bincount`` round trip) per bucket.  Tiers are bucket
   counts per dispatch batch, in the paper's sparse regime (~0.6 %
@@ -212,27 +212,33 @@ def _merge_rows():
     rows = []
     for num_buckets in MERGE_TIERS:
         groups = _merge_workload(num_buckets)
-        for frame in (f for group in groups for f in group):
-            frame.flat_keys()  # warm the key caches (stack views carry them)
+        # The runtime's buckets are index ranges into one rendered stack:
+        # pack the workload once (outside the timed region) and merge it
+        # as MBsize-frame ranges.
+        stack = FrameStack.from_frames([f for group in groups for f in group])
+        ranges = [
+            (i * MERGE_BUCKET_FRAMES, (i + 1) * MERGE_BUCKET_FRAMES)
+            for i in range(num_buckets)
+        ]
         num_frames = num_buckets * MERGE_BUCKET_FRAMES
 
-        merged = FrameStack.merge_groups(groups)
+        merged = stack.merge_ranges(ranges)
         reference = [SparseFrame.add_reference(group) for group in groups]
         assert all(
             _frames_bit_identical(view, ref)
             for view, ref in zip(merged.frames(), reference)
         ), f"merge tier {num_buckets}: segmented kernel diverged from the oracle"
-        averaged = FrameStack.merge_groups(groups, average=True)
+        averaged = stack.merge_ranges(ranges, average=True)
         assert all(
             _frames_bit_identical(view, SparseFrame.average(group))
             for view, group in zip(averaged.frames(), groups)
         )
 
-        t_segmented = _best(lambda: FrameStack.merge_groups(groups))
+        t_segmented = _best(lambda: stack.merge_ranges(ranges))
         t_oracle = _best(
             lambda: [SparseFrame.add_reference(group) for group in groups]
         )
-        t_average = _best(lambda: FrameStack.merge_groups(groups, average=True))
+        t_average = _best(lambda: stack.merge_ranges(ranges, average=True))
         rows.append(
             {
                 "section": "merge",
@@ -346,7 +352,7 @@ def test_dataplane_throughput(benchmark):
             ["tier", "events", "stack_ev_per_s", "oracle_ev_per_s", "speedup"],
         )
     )
-    print("\n=== DSFA merge: frames-merged/sec (merge_groups vs per-bucket) ===")
+    print("\n=== DSFA merge: frames-merged/sec (merge_ranges vs per-bucket) ===")
     print(
         format_table(
             merge_rows,

@@ -62,13 +62,13 @@ def main() -> None:
     print("threshold sensitivity (MdTh) with cAdd, MBsize=4:")
     converter = Event2SparseFrameConverter(10)
     t0, t1 = sequence.frames[0].timestamp, sequence.frames[-1].timestamp
-    frames = converter.convert(sequence.events, t0, t1)
+    stack = converter.convert_stack(sequence.events, [t0, t1])
     for mdth in (0.05, 0.2, 0.5, 1.0):
         aggregator = DynamicSparseFrameAggregator(
             DSFAConfig(event_buffer_size=8, merge_bucket_size=4, max_density_change=mdth)
         )
-        for frame in frames:
-            aggregator.push(frame)
+        for index in range(len(stack)):
+            aggregator.push_index(stack, index)
         aggregator.flush()
         stats = aggregator.merge_statistics()
         print(f"  MdTh={mdth:4.2f}  dispatched batches={stats['dispatched_batches']}")

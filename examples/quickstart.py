@@ -36,11 +36,14 @@ def main() -> None:
           f"{report.operation_saving:.1f}x fewer conversion operations than the dense path")
 
     # 3. DSFA: merge sparse frames while respecting time/density thresholds.
+    #    The aggregator takes frames by index into one columnar FrameStack,
+    #    rendered in a single pass (the same frames as above, bit for bit).
+    stack = converter.convert_stack(sequence.events, [t0, t1])
     aggregator = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=4, merge_bucket_size=2))
-    for frame in frames:
-        aggregator.push(frame)
+    for index in range(len(stack)):
+        aggregator.push_index(stack, index)
     batch = aggregator.flush()
-    print(f"DSFA: merged {len(frames)} frames into a batch of {len(batch)} "
+    print(f"DSFA: merged {len(stack)} frames into a batch of {len(batch)} "
           f"({aggregator.merge_statistics()})")
 
     # 4. Full pipeline on the Jetson Xavier AGX model: baseline vs Ev-Edge.

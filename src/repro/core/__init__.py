@@ -5,7 +5,6 @@ from .dsfa import (
     BucketStatus,
     DSFAConfig,
     DynamicSparseFrameAggregator,
-    MergeBucket,
     MergeMode,
     StackMergeBucket,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "E2SFReport",
     "DynamicSparseFrameAggregator",
     "DSFAConfig",
-    "MergeBucket",
     "MergeMode",
     "StackMergeBucket",
     "BucketStatus",

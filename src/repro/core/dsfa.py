@@ -18,16 +18,22 @@ The implementation follows Figure 6 of the paper:
   itself idle — the buckets are combined according to ``cMode``
   (``cAdd`` / ``cAverage`` / ``cBatch``) and forwarded to the inference
   queue, evicting the oldest pending entry if the queue is full.
+
+Frames arrive as ``(stack, index)`` references into the stream's rendered
+:class:`~repro.frames.stack.FrameStack` (:meth:`DynamicSparseFrameAggregator.
+push_index`): buckets are :class:`StackMergeBucket` index ranges and a
+dispatch is one :meth:`~repro.frames.stack.FrameStack.merge_ranges` call.
+The paper-literal per-frame aggregator — frame-list buckets, a full bucket
+scan per placement and per-bucket ``add_reference`` merges — is the oracle
+:class:`~repro.runtime.legacy.ReferenceAggregator`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Deque, List, Optional
-
-import numpy as np
 
 from ..frames.sparse import SparseFrame, SparseFrameBatch
 from ..frames.stack import FrameStack
@@ -35,7 +41,6 @@ from ..frames.stack import FrameStack
 __all__ = [
     "MergeMode",
     "BucketStatus",
-    "MergeBucket",
     "StackMergeBucket",
     "DSFAConfig",
     "DynamicSparseFrameAggregator",
@@ -57,102 +62,6 @@ class BucketStatus(Enum):
     FULL = "FULL"
 
 
-@dataclass
-class MergeBucket:
-    """One merge bucket: a bounded group of sparse frames merged together."""
-
-    capacity: int
-    frames: List[SparseFrame] = field(default_factory=list)
-    status: BucketStatus = BucketStatus.AVAILABLE
-    # Incrementally maintained cAdd merge of ``frames``, used for the
-    # density queries of the placement test.  Merging is associative on the
-    # *support* (the active-site union), so the incremental merge has
-    # bit-identical density to re-merging the whole list — but each
-    # ``accepts`` probe stops paying an O(bucket) re-merge.  ``merge()``
-    # still combines the full list so dispatched values keep their exact
-    # summation order.
-    _merged: Optional[SparseFrame] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("bucket capacity must be >= 1")
-
-    @property
-    def occupancy(self) -> int:
-        """Number of frames currently in the bucket."""
-        return len(self.frames)
-
-    @property
-    def is_full(self) -> bool:
-        """True when no further frame may be added."""
-        return self.status is BucketStatus.FULL or self.occupancy >= self.capacity
-
-    @property
-    def earliest_time(self) -> float:
-        """Timestamp of the earliest frame (``Time(Evf_1)``), inf when empty."""
-        if not self.frames:
-            return float("inf")
-        return min(f.t_start for f in self.frames)
-
-    def _merged_support(self) -> SparseFrame:
-        """The (cached) cAdd merge of the bucket, for density queries."""
-        if self._merged is None:
-            self._merged = SparseFrame.add(self.frames)
-        return self._merged
-
-    @property
-    def merged_density(self) -> float:
-        """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
-        if not self.frames:
-            return 0.0
-        return self._merged_support().density
-
-    def accepts(self, frame: SparseFrame, max_delay: float, max_density_change: float) -> bool:
-        """Greedy placement test: capacity, time-delay and density conditions."""
-        if self.is_full:
-            return False
-        if not self.frames:
-            return True
-        if frame.t_start - self.earliest_time > max_delay:
-            return False
-        if self._merged_support().density_change(frame) > max_density_change:
-            return False
-        return True
-
-    def add(self, frame: SparseFrame) -> None:
-        """Insert ``frame`` (the caller must have checked :meth:`accepts`)."""
-        if self.is_full:
-            raise RuntimeError("cannot add a frame to a FULL merge bucket")
-        self.frames.append(frame)
-        if self._merged is not None:
-            self._merged = SparseFrame.add([self._merged, frame])
-        if self.occupancy >= self.capacity:
-            self.seal()
-
-    def seal(self) -> None:
-        """Mark the bucket FULL and release its merged-support cache.
-
-        A FULL bucket is never density-probed again — it only waits for
-        dispatch — so the incremental cAdd support is dead weight from here.
-        """
-        self.status = BucketStatus.FULL
-        self._merged = None
-
-    def merge(self, mode: MergeMode) -> SparseFrame:
-        """Combine the bucket's frames into one sparse frame per ``mode``.
-
-        ``cBatch`` buckets hold a single frame by construction, so the merge
-        is the identity for them.
-        """
-        if not self.frames:
-            raise RuntimeError("cannot merge an empty bucket")
-        if mode is MergeMode.ADD or mode is MergeMode.BATCH:
-            return FrameStack.segment_add(self.frames)
-        return FrameStack.segment_average(self.frames)
-
-
 class StackMergeBucket:
     """A merge bucket backed by an index range into a :class:`FrameStack`.
 
@@ -167,9 +76,9 @@ class StackMergeBucket:
 
     Density probes read the stack's cached :meth:`FrameStack.densities`
     column and compute the merged-support density as the unique-key count
-    of the range's flat pixel keys — bit-identical to the incremental
-    cAdd merge of :class:`MergeBucket` (density depends only on the active-
-    site union), without building any intermediate frame.
+    of the range's flat pixel keys — bit-identical to the density of the
+    cAdd-merged frame (density depends only on the active-site union),
+    without building any intermediate frame.
     """
 
     __slots__ = (
@@ -207,16 +116,6 @@ class StackMergeBucket:
         return self.status is BucketStatus.FULL or self.occupancy >= self.capacity
 
     @property
-    def earliest_time(self) -> float:
-        """Timestamp of the earliest frame (``Time(Evf_1)``), inf when empty."""
-        return self._earliest
-
-    @property
-    def frames(self) -> List[SparseFrame]:
-        """The bucket's frames, materialised as zero-copy stack views."""
-        return [self.stack.frame(i) for i in range(self.start, self.stop)]
-
-    @property
     def merged_density(self) -> float:
         """Spatial density of the bucket's frames merged with cAdd (``MBmerged``)."""
         if self.stop == self.start:
@@ -237,33 +136,25 @@ class StackMergeBucket:
         return self._density
 
     def accepts_index(
-        self,
-        stack: FrameStack,
-        index: int,
-        max_delay: float,
-        max_density_change: float,
-        t_start: Optional[float] = None,
-        density: Optional[float] = None,
+        self, index: int, max_delay: float, max_density_change: float
     ) -> bool:
-        """Greedy placement test for frame ``index`` of ``stack``.
+        """Greedy placement test for frame ``index`` of the bucket's stack.
 
-        Same three conditions as :meth:`MergeBucket.accepts`; a bucket
-        additionally never accepts indices of a *different* stack (the
-        caller then marks it FULL, exactly as for a failed condition).
-        ``t_start`` / ``density`` accept the frame's precomputed scalars —
-        the placement loop probes one frame against many buckets and
-        extracts them from the stack columns once, not per probe.
+        The paper's three conditions: free capacity, delay from the
+        bucket's earliest frame within ``max_delay`` (``MtTh``) and
+        relative density change versus the merged bucket within
+        ``max_density_change`` (``MdTh``).  The frame's time and density
+        are read off the stack's cached python-float columns.
         """
-        if stack is not self.stack or self.is_full:
+        if self.is_full:
             return False
         if self.stop == self.start:
             return True
-        if t_start is None:
-            t_start = stack.t_starts_list()[index]
-        if t_start - self._earliest > max_delay:
+        stack = self.stack
+        if stack.t_starts_list()[index] - self._earliest > max_delay:
             return False
         d1 = self.merged_density
-        d2 = stack.frame_density(index) if density is None else density
+        d2 = stack.densities_list()[index]
         bottom = d1 if d1 > d2 else d2
         if bottom > 0 and abs(d1 - d2) / bottom > max_density_change:
             return False
@@ -346,19 +237,24 @@ class DSFAConfig:
 
 
 class DynamicSparseFrameAggregator:
-    """Runtime aggregator of sparse frames (one instance per task)."""
+    """Runtime aggregator of sparse frames (one instance per task).
+
+    One aggregator serves one stream's :class:`FrameStack`: every buffered
+    bucket is an index range into the same stack, so a dispatch merges them
+    all in one :meth:`FrameStack.merge_ranges` pass.
+    """
 
     def __init__(self, config: Optional[DSFAConfig] = None) -> None:
         self.config = config or DSFAConfig()
-        self._buckets: List[MergeBucket] = []
+        self._buckets: List[StackMergeBucket] = []
         self._inference_queue: Deque[SparseFrameBatch] = deque(
             maxlen=self.config.inference_queue_depth
         )
         self.discarded_frames = 0
         self.dispatched_batches = 0
-        # Running buffered-frame count: every _place adds exactly one frame
-        # and _dispatch drains every bucket, so the counter is O(1) per push
-        # instead of re-summing all bucket occupancies.
+        # Running buffered-frame count: every placement adds exactly one
+        # frame and a dispatch drains every bucket, so the counter is O(1)
+        # per push instead of re-summing all bucket occupancies.
         self._buffered_frames = 0
 
     # ------------------------------------------------------------------
@@ -382,26 +278,15 @@ class DynamicSparseFrameAggregator:
     # ------------------------------------------------------------------
     # main entry points
     # ------------------------------------------------------------------
-    def push(self, frame: SparseFrame, hardware_available: bool = False) -> Optional[SparseFrameBatch]:
-        """Offer a newly generated sparse frame to the aggregator.
-
-        Returns a dispatched :class:`SparseFrameBatch` if this push caused a
-        dispatch (buffer overflow or ``hardware_available``), else ``None``.
-        """
-        self._place(frame)
-        return self._maybe_dispatch(hardware_available)
-
     def push_index(
         self, stack: FrameStack, index: int, hardware_available: bool = False
     ) -> Optional[SparseFrameBatch]:
-        """Offer frame ``index`` of ``stack`` without materialising it.
+        """Offer frame ``index`` of ``stack`` to the aggregator.
 
-        The stack-transport twin of :meth:`push`: placement probes read the
-        stack's density/time columns, buckets record index ranges
-        (:class:`StackMergeBucket`) and dispatch merges every bucket in one
-        :meth:`FrameStack.merge_ranges` pass over the parent buffers.
-        Dispatch decisions, accounting and merged values are bit-identical
-        to pushing ``stack.frame(index)`` through :meth:`push`.
+        Returns a dispatched :class:`SparseFrameBatch` if this push caused a
+        dispatch (buffer overflow or ``hardware_available``), else ``None``.
+        Raises :class:`ValueError` if ``stack`` is not the stack of the
+        frames already buffered.
         """
         self._place_index(stack, index)
         return self._maybe_dispatch(hardware_available)
@@ -429,93 +314,56 @@ class DynamicSparseFrameAggregator:
             return self._dispatch()
         return None
 
-    def _bucket_factory(self, capacity: int) -> MergeBucket:
-        """Bucket constructor hook for the per-frame path (oracle subclasses override)."""
-        return MergeBucket(capacity=capacity)
-
-    def _place(self, frame: SparseFrame) -> None:
-        cfg = self.config
-        self._buffered_frames += 1
-        if cfg.merge_mode is MergeMode.BATCH:
-            # cBatch: every generated frame goes into a fresh bucket.
-            bucket = self._bucket_factory(1)
-            bucket.add(frame)
-            self._buckets.append(bucket)
-            return
-        for bucket in self._buckets:
-            if bucket.accepts(frame, cfg.max_time_delay, cfg.max_density_change):
-                bucket.add(frame)
-                return
-            if not bucket.is_full:
-                # Condition failed: the paper marks the bucket FULL and moves on.
-                bucket.seal()
-        bucket = self._bucket_factory(cfg.merge_bucket_size)
-        bucket.add(frame)
-        self._buckets.append(bucket)
-
     def _place_index(self, stack: FrameStack, index: int) -> None:
         cfg = self.config
+        buckets = self._buckets
+        if buckets and buckets[-1].stack is not stack:
+            raise ValueError(
+                "push_index got a different stack than the buffered frames'; "
+                "one aggregator serves one stream's stack"
+            )
         self._buffered_frames += 1
         if cfg.merge_mode is MergeMode.BATCH:
             # cBatch: every generated frame goes into a fresh bucket.
-            bucket = StackMergeBucket(1, stack, index)
-            bucket.add_index(index)
-            self._buckets.append(bucket)
-            return
-        # Only the tail bucket can ever be open: a bucket that rejects a
-        # frame is sealed on the spot and a full bucket stays FULL forever,
-        # so every bucket before the last was closed before the last was
-        # created.  Probing just the tail is therefore placement-identical
-        # to the paper's full scan (every earlier probe would return False),
-        # without the O(buckets) pass per push the oracle `_place` keeps.
-        if self._buckets:
-            bucket = self._buckets[-1]
-            if isinstance(bucket, StackMergeBucket) and bucket.accepts_index(
-                stack,
-                index,
-                cfg.max_time_delay,
-                cfg.max_density_change,
-                t_start=stack.t_starts_list()[index],
-                density=stack.densities_list()[index],
-            ):
-                bucket.add_index(index)
-                return
-            if not bucket.is_full:
-                # Condition failed: the paper marks the bucket FULL and moves on.
-                bucket.seal()
-        bucket = StackMergeBucket(cfg.merge_bucket_size, stack, index)
+            capacity = 1
+        else:
+            capacity = cfg.merge_bucket_size
+            # Only the tail bucket can ever be open: a bucket that rejects a
+            # frame is sealed on the spot and a full bucket stays FULL
+            # forever, so every bucket before the last was closed before the
+            # last was created.  Probing just the tail is therefore
+            # placement-identical to the paper's full scan (every earlier
+            # probe would return False).
+            if buckets:
+                bucket = buckets[-1]
+                if bucket.accepts_index(
+                    index, cfg.max_time_delay, cfg.max_density_change
+                ):
+                    bucket.add_index(index)
+                    return
+                if not bucket.is_full:
+                    # Condition failed: the paper marks the bucket FULL and moves on.
+                    bucket.seal()
+        bucket = StackMergeBucket(capacity, stack, index)
         bucket.add_index(index)
-        self._buckets.append(bucket)
+        buckets.append(bucket)
 
     def _merge_buckets(self) -> SparseFrameBatch:
-        """Merge all buffered buckets into one dispatchable batch.
+        """Merge all buffered buckets into one stack-backed batch.
 
-        Stack-backed buckets sharing one parent stack merge directly as
-        index ranges (:meth:`FrameStack.merge_ranges` — the ranges are
-        adjacent by the placement invariant, so the merge reads one parent
-        slice) and yield a stack-backed batch; any other mix falls back to
-        the segmented :meth:`FrameStack.merge_groups` pass over
-        materialised frames.  Both produce bit-identical merged values.
+        The buckets are adjacent index ranges of one stack (the placement
+        invariant), so :meth:`FrameStack.merge_ranges` reads one parent
+        slice and reduces every bucket in one grouped pass.
         """
-        buckets = [bucket for bucket in self._buckets if bucket.occupancy]
-        average = self.config.merge_mode is MergeMode.AVERAGE
-        if not buckets:
-            return SparseFrameBatch([])
-        stack = getattr(buckets[0], "stack", None)
-        if stack is not None and all(
-            isinstance(bucket, StackMergeBucket) and bucket.stack is stack
-            for bucket in buckets
-        ):
-            merged_stack = stack.merge_ranges(
-                [(bucket.start, bucket.stop) for bucket in buckets], average=average
-            )
-            return SparseFrameBatch.from_stack(merged_stack)
-        merged_stack = FrameStack.merge_groups(
-            [bucket.frames for bucket in buckets], average=average
+        buckets = self._buckets
+        merged = buckets[0].stack.merge_ranges(
+            [(bucket.start, bucket.stop) for bucket in buckets],
+            average=self.config.merge_mode is MergeMode.AVERAGE,
         )
-        return SparseFrameBatch(merged_stack.frames())
+        return SparseFrameBatch.from_stack(merged)
 
-    def _finish_dispatch(self, batch: SparseFrameBatch) -> SparseFrameBatch:
+    def _dispatch(self) -> SparseFrameBatch:
+        batch = self._merge_buckets()
         if len(self._inference_queue) == self._inference_queue.maxlen:
             # The earliest pending batch is discarded (stale data).
             dropped = self._inference_queue.popleft()
@@ -525,11 +373,6 @@ class DynamicSparseFrameAggregator:
         self._buffered_frames = 0
         self.dispatched_batches += 1
         return batch
-
-    def _dispatch(self) -> SparseFrameBatch:
-        # All buckets of the dispatch merge in one segmented grouped-reduce
-        # pass (bit-identical to per-bucket MergeBucket.merge calls).
-        return self._finish_dispatch(self._merge_buckets())
 
     # ------------------------------------------------------------------
     def merge_statistics(self) -> dict:

@@ -19,14 +19,12 @@ from .encoding import (
     sparse_to_dense,
 )
 from .sparse import SparseFrame, SparseFrameBatch
-from .stack import FrameStack, segment_add, segment_average
+from .stack import FrameStack
 
 __all__ = [
     "SparseFrame",
     "SparseFrameBatch",
     "FrameStack",
-    "segment_add",
-    "segment_average",
     "HAS_NUMBA",
     "jit_ifnumba",
     "event_count_frame",

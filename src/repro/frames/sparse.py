@@ -744,34 +744,3 @@ class SparseFrameBatch:
         if not self.frames:
             return np.zeros((0, 2, 0, 0))
         return np.stack([f.to_dense() for f in self.frames], axis=0)
-
-    @staticmethod
-    def concatenate(batches: Sequence["SparseFrameBatch"]) -> "SparseFrameBatch":
-        """Concatenate several batches preserving order.
-
-        A single input batch is returned as-is (batches are value objects —
-        callers never mutate them), so the unmerged dispatch hot path pays
-        no copy or re-validation.  When every member is a view into the
-        *same* :class:`FrameStack` and the index ranges are adjacent in
-        order, the result is the index-range union — still zero-copy, no
-        buffers touched.  Otherwise the member frames are gathered into a
-        frame-list batch.
-        """
-        if len(batches) == 1:
-            return batches[0]
-        first = batches[0]
-        stack = first._stack
-        if stack is not None:
-            stop = first._stop
-            contiguous = True
-            for b in batches[1:]:
-                if b._stack is not stack or b._start != stop:
-                    contiguous = False
-                    break
-                stop = b._stop
-            if contiguous:
-                return SparseFrameBatch.from_stack(stack, first._start, stop)
-        frames: List[SparseFrame] = []
-        for b in batches:
-            frames.extend(b.frames)
-        return SparseFrameBatch(frames)

@@ -16,12 +16,10 @@ Operations on the stack are vectorised across frames:
 * :meth:`FrameStack.frame` — a zero-copy :class:`~repro.frames.sparse.
   SparseFrame` view over the buffers (buffer slices share memory with the
   stack and carry their slice of the key cache);
-* :meth:`FrameStack.merge_groups` — the segmented merge kernel behind DSFA
-  dispatches: merges *all* buckets of a dispatch in one grouped-reduce pass
-  instead of one ``np.unique`` round trip per bucket;
-* :func:`segment_add` / :func:`segment_average` — single-group wrappers, the
-  allocation-lean path behind :meth:`SparseFrame.add` /
-  :meth:`SparseFrame.average`.
+* :meth:`FrameStack.merge_ranges` — the DSFA dispatch kernel: merges
+  *all* buckets of a dispatch, given as frame-index ranges, in one
+  grouped-reduce pass (range index folded into the sort key) instead of
+  one ``np.unique`` round trip per bucket.
 
 All kernels are bit-identical to the per-frame reference path (stable sort,
 input-order accumulation; see :func:`~repro.frames.sparse._grouped_reduce`)
@@ -37,7 +35,7 @@ import numpy as np
 
 from .sparse import SparseFrame, _grouped_reduce
 
-__all__ = ["FrameStack", "segment_add", "segment_average"]
+__all__ = ["FrameStack"]
 
 
 class FrameStack:
@@ -389,80 +387,8 @@ class FrameStack:
         self._d_list = None
 
     # ------------------------------------------------------------------
-    # segmented merge kernels
+    # segmented merge kernel
     # ------------------------------------------------------------------
-    @classmethod
-    def merge_groups(
-        cls, groups: Sequence[Sequence[SparseFrame]], average: bool = False
-    ) -> "FrameStack":
-        """Merge every group of frames with cAdd (or cAverage) in one pass.
-
-        This is the DSFA dispatch kernel: instead of one concatenate +
-        ``np.unique`` round trip per merge bucket, the frames of *all*
-        buckets are reduced together — group index folded into the sort key
-        — and the merged frames come back as one stack (frame ``i`` is the
-        merge of ``groups[i]``).  Bit-identical to merging each group with
-        :meth:`SparseFrame.add` / :meth:`SparseFrame.average`: the grouped
-        reduction accumulates in input order and the per-group time bounds
-        are the same min/max.
-        """
-        groups = [list(group) for group in groups]
-        if not groups:
-            raise ValueError("cannot merge an empty list of groups")
-        if any(not group for group in groups):
-            raise ValueError("cannot merge an empty group")
-        first = groups[0][0]
-        h, w = first.height, first.width
-        for group in groups:
-            for f in group:
-                if (f.height, f.width) != (h, w):
-                    raise ValueError("all frames must share the same dimensions")
-        num_pixels = h * w
-        flat_parts: List[np.ndarray] = []
-        pos_parts: List[np.ndarray] = []
-        neg_parts: List[np.ndarray] = []
-        group_sizes = np.zeros(len(groups), dtype=np.int64)
-        for g, group in enumerate(groups):
-            size = 0
-            for f in group:
-                flat_parts.append(f.flat_keys())
-                pos_parts.append(f.pos)
-                neg_parts.append(f.neg)
-                size += f.num_active
-            group_sizes[g] = size
-        flat = np.concatenate(flat_parts)
-        pos = np.concatenate(pos_parts)
-        neg = np.concatenate(neg_parts)
-        segment = np.repeat(np.arange(len(groups), dtype=np.int64), group_sizes)
-        key = segment * num_pixels + flat
-        unique_key, pos_sum, neg_sum = _grouped_reduce(key, pos, neg)
-        unique_segment = unique_key // num_pixels
-        unique_flat = unique_key - unique_segment * num_pixels
-        if average:
-            # Same elementwise multiply as SparseFrame.scale(1.0 / n).
-            factors = np.array(
-                [1.0 / len(group) for group in groups], dtype=np.float64
-            )
-            per_entry = factors[unique_segment]
-            pos_sum = pos_sum * per_entry
-            neg_sum = neg_sum * per_entry
-        offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(unique_segment, minlength=len(groups)), out=offsets[1:]
-        )
-        return cls._view(
-            (unique_flat // w).astype(np.int32),
-            (unique_flat % w).astype(np.int32),
-            pos_sum,
-            neg_sum,
-            offsets,
-            np.array([min(f.t_start for f in g) for g in groups], dtype=np.float64),
-            np.array([max(f.t_end for f in g) for g in groups], dtype=np.float64),
-            h,
-            w,
-            flat=unique_flat,
-        )
-
     def merge_ranges(
         self, ranges: Sequence[Tuple[int, int]], average: bool = False
     ) -> "FrameStack":
@@ -477,9 +403,10 @@ class FrameStack:
         which partition a contiguous run of arrivals — the entry columns are
         one parent slice and nothing is concatenated at all.
 
-        Bit-identical to :meth:`merge_groups` over the equivalent frame-view
-        groups: the entry buffers, segment labels and grouped reduction are
-        the same arrays in the same order.
+        Bit-identical to merging each range's frames with
+        :meth:`SparseFrame.add_reference` (scaled by ``1 / n`` for
+        cAverage): the grouped reduction accumulates in input order and the
+        per-range time bounds are the same min/max.
         """
         if not len(ranges):
             raise ValueError("cannot merge an empty list of ranges")
@@ -540,18 +467,3 @@ class FrameStack:
             self.height,
             self.width,
         )
-
-    @staticmethod
-    def segment_add(frames: Sequence[SparseFrame]) -> SparseFrame:
-        """cAdd-merge one group of frames through the grouped-reduce kernel."""
-        return SparseFrame.add(frames)
-
-    @staticmethod
-    def segment_average(frames: Sequence[SparseFrame]) -> SparseFrame:
-        """cAverage-merge one group of frames through the grouped-reduce kernel."""
-        return SparseFrame.average(frames)
-
-
-# Module-level aliases for callers that want the kernel without the class.
-segment_add = FrameStack.segment_add
-segment_average = FrameStack.segment_average

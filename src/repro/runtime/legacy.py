@@ -32,11 +32,13 @@ as oracles so that claim stays machine-checked:
   chain walk instead of graph propagation.  The divergence tests use it
   to pin that graph propagation is bit-identical on serial networks and
   diverges exactly at DAG join nodes.
-* :class:`ReferenceAggregator` — the fully per-frame DSFA driven by
-  :class:`ReferenceStreamClient`: placement probes re-merge whole frame
-  lists per call (``SparseFrame.add_reference``) and every dispatch merges
-  bucket by bucket, with no stack ranges or segmented grouped-reduce
-  anywhere.
+* :class:`ReferenceAggregator` / :class:`ReferenceMergeBucket` — the only
+  per-frame DSFA, driven by :class:`ReferenceStreamClient`: ``push`` takes
+  materialised frames, placement scans every bucket as Figure 6 is
+  written, probes re-merge whole frame lists per call
+  (``SparseFrame.add_reference``) and every dispatch merges bucket by
+  bucket.  It shares no placement or merge code with the production
+  stack-only aggregator.
 * :class:`EagerStreamClient` — the pre-cursor arrival discipline: every
   arrival of the horizon is heaped at prime time, so the kernel heap grows
   to O(total frames) instead of O(active streams).
@@ -69,12 +71,7 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.dsfa import (
-    BucketStatus,
-    DynamicSparseFrameAggregator,
-    MergeBucket,
-    MergeMode,
-)
+from ..core.dsfa import BucketStatus, DynamicSparseFrameAggregator, MergeMode
 from ..frames.sparse import SparseFrame, SparseFrameBatch
 from ..nn.occupancy import OccupancyProfile
 from .executor import SignatureServer, _PendingDispatch
@@ -289,28 +286,45 @@ class ChainCostModel(NetworkCostModel):
         return raw.bucketed(self.table.bucket)
 
 
-class ReferenceMergeBucket(MergeBucket):
-    """A merge bucket with every PR 5–8 merge optimization stripped.
+class ReferenceMergeBucket:
+    """The paper's merge bucket as a plain frame list.
 
-    * density probes re-merge the *whole* frame list per :meth:`accepts`
-      call through :meth:`SparseFrame.add_reference` (no incremental cache,
-      no grouped-reduce kernel);
-    * :meth:`merge` combines the list with ``add_reference`` as well,
-      scaling for cAverage.
-
-    Both are bit-identical to the production bucket — merging is associative
-    on the support and ``add_reference`` is the proven oracle for ``add`` —
-    just quadratic where the stack path is O(1) per probe.
+    Every :meth:`accepts` probe re-merges the whole list with
+    :meth:`SparseFrame.add_reference` to read the merged density, and
+    :meth:`merge` merges it the same way (scaled for cAverage).  Nothing is
+    cached and no stack range or grouped-reduce kernel is involved: this is
+    the quadratic, paper-literal bucket the production
+    :class:`~repro.core.dsfa.StackMergeBucket` must match bit for bit.
     """
 
-    def _merged_support(self) -> SparseFrame:
-        return SparseFrame.add_reference(self.frames)
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("bucket capacity must be >= 1")
+        self.capacity = capacity
+        self.frames: List[SparseFrame] = []
+        self.status = BucketStatus.AVAILABLE
+
+    @property
+    def is_full(self) -> bool:
+        return self.status is BucketStatus.FULL or len(self.frames) >= self.capacity
+
+    def accepts(
+        self, frame: SparseFrame, max_delay: float, max_density_change: float
+    ) -> bool:
+        if self.is_full:
+            return False
+        if not self.frames:
+            return True
+        if frame.t_start - min(f.t_start for f in self.frames) > max_delay:
+            return False
+        merged = SparseFrame.add_reference(self.frames)
+        return merged.density_change(frame) <= max_density_change
 
     def add(self, frame: SparseFrame) -> None:
         if self.is_full:
             raise RuntimeError("cannot add a frame to a FULL merge bucket")
         self.frames.append(frame)
-        if self.occupancy >= self.capacity:
+        if len(self.frames) >= self.capacity:
             self.status = BucketStatus.FULL
 
     def merge(self, mode: MergeMode) -> SparseFrame:
@@ -323,30 +337,49 @@ class ReferenceMergeBucket(MergeBucket):
 
 
 class ReferenceAggregator(DynamicSparseFrameAggregator):
-    """The fully per-frame DSFA: reference buckets, per-bucket merges.
+    """The paper-literal per-frame DSFA, driven through :meth:`push`.
 
-    The aggregator of :class:`ReferenceStreamClient`: placement probes
-    re-merge frame lists per call and every dispatch merges bucket by bucket
-    through ``add_reference`` — no stack ranges, no segmented grouped-reduce
-    pass.  Dispatch decisions and merged values are bit-identical to the
-    production aggregator; the data-plane benchmark measures the columnar
-    transport's fleet speedup against it.
+    Placement scans *every* buffered :class:`ReferenceMergeBucket` in order
+    and marks each one that rejects the frame ``FULL`` (Figure 6 as
+    written); the occupancy is recounted from the buckets; every dispatch
+    merges bucket by bucket through ``add_reference``.  Only the dispatch
+    trigger and inference-queue bookkeeping are shared with the production
+    aggregator — none of its placement or merge code.  Dispatch decisions
+    and merged values are bit-identical to
+    :meth:`~repro.core.dsfa.DynamicSparseFrameAggregator.push_index`; the
+    data-plane benchmark measures the columnar transport's fleet speedup
+    against it.
     """
 
-    def _bucket_factory(self, capacity: int) -> MergeBucket:
-        return ReferenceMergeBucket(capacity=capacity)
+    @property
+    def buffer_occupancy(self) -> int:
+        return sum(len(bucket.frames) for bucket in self._buckets)
+
+    def push(
+        self, frame: SparseFrame, hardware_available: bool = False
+    ) -> Optional[SparseFrameBatch]:
+        """Offer a materialised sparse frame; returns the dispatched batch, if any."""
+        self._place(frame)
+        return self._maybe_dispatch(hardware_available)
+
+    def _place(self, frame: SparseFrame) -> None:
+        cfg = self.config
+        if cfg.merge_mode is MergeMode.BATCH:
+            bucket = ReferenceMergeBucket(1)
+        else:
+            for bucket in self._buckets:
+                if bucket.accepts(frame, cfg.max_time_delay, cfg.max_density_change):
+                    bucket.add(frame)
+                    return
+                # Condition failed: the paper marks the bucket FULL and moves on.
+                bucket.status = BucketStatus.FULL
+            bucket = ReferenceMergeBucket(cfg.merge_bucket_size)
+        bucket.add(frame)
+        self._buckets.append(bucket)
 
     def _merge_buckets(self) -> SparseFrameBatch:
-        average = self.config.merge_mode is MergeMode.AVERAGE
-        merged: List[SparseFrame] = []
-        for bucket in self._buckets:
-            if not bucket.occupancy:
-                continue
-            frame = SparseFrame.add_reference(bucket.frames)
-            if average:
-                frame = frame.scale(1.0 / len(bucket.frames))
-            merged.append(frame)
-        return SparseFrameBatch(merged)
+        mode = self.config.merge_mode
+        return SparseFrameBatch([bucket.merge(mode) for bucket in self._buckets])
 
 
 class EagerStreamClient(StreamClient):

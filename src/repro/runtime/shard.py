@@ -59,7 +59,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .sim import NetworkCostModel
-from .streams import MultiStreamReport, MultiStreamSimulator, StreamSource
+from .streams import (
+    MultiStreamReport,
+    MultiStreamSimulator,
+    StreamSource,
+    validate_fleet_options,
+)
 
 __all__ = [
     "DEFAULT_EPOCHS",
@@ -75,8 +80,6 @@ __all__ = [
 # few enough barriers to stay off the hot path, frequent enough that the
 # per-epoch platform accounting resolves the load curve.
 DEFAULT_EPOCHS = 8
-
-PARTITION_RULES = ("signature", "platform_group")
 
 
 # ----------------------------------------------------------------------
@@ -170,10 +173,7 @@ def partition_sources(
     lightest shard — a pure function of the source list, so the same fleet
     always shards the same way in every process.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if by not in PARTITION_RULES:
-        raise ValueError(f"unknown partition rule {by!r}; expected one of {PARTITION_RULES}")
+    validate_fleet_options(shards=shards, shard_by=by)
     units = signature_groups(sources)
     if by == "platform_group":
         if platform is None:
@@ -351,10 +351,7 @@ class ShardedSimulator:
         mode: str = "process",
         **sim_kwargs,
     ) -> None:
-        if mode not in ("process", "inline"):
-            raise ValueError(f"unknown shard mode {mode!r}; expected 'process' or 'inline'")
-        if epoch_length is not None and epoch_length <= 0:
-            raise ValueError("epoch_length must be positive")
+        validate_fleet_options(epoch_length=epoch_length, shard_mode=mode)
         self.platform = platform
         self.sources = list(sources)
         self.plan = partition_sources(

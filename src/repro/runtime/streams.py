@@ -93,7 +93,48 @@ __all__ = [
     "AdaptiveMappingClient",
     "MultiStreamReport",
     "MultiStreamSimulator",
+    "PARTITION_RULES",
+    "SHARD_MODES",
+    "validate_fleet_options",
 ]
+
+# Allowed ``shard_by`` partition rules and ``shard_mode`` execution modes
+# (see :mod:`repro.runtime.shard`).
+PARTITION_RULES = ("signature", "platform_group")
+SHARD_MODES = ("process", "inline")
+
+
+def validate_fleet_options(
+    *,
+    shards: int = 1,
+    shard_by: str = "signature",
+    epoch_length: Optional[float] = None,
+    shard_mode: str = "process",
+    max_merge_streams: int = 1,
+) -> None:
+    """Reject malformed fleet sharding and merge options with ``ValueError``.
+
+    The one home of these checks: :class:`MultiStreamSimulator` runs them
+    at construction (so a bad option fails even when ``shards=1`` would
+    never read it), and :class:`~repro.runtime.shard.ShardedSimulator` /
+    :func:`~repro.runtime.shard.partition_sources` reuse them.  Options
+    left at their defaults are valid.
+    """
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    if shard_by not in PARTITION_RULES:
+        raise ValueError(
+            f"unknown partition rule {shard_by!r}; expected one of {PARTITION_RULES}"
+        )
+    if epoch_length is not None and not epoch_length > 0:
+        raise ValueError("epoch_length must be positive")
+    if shard_mode not in SHARD_MODES:
+        raise ValueError(
+            f"unknown shard mode {shard_mode!r}; expected one of {SHARD_MODES}"
+        )
+    if max_merge_streams < 1:
+        raise ValueError("max_merge_streams must be >= 1")
+
 
 @dataclass
 class StreamSource:
@@ -926,8 +967,13 @@ class MultiStreamSimulator:
             )
         if record_limit is not None and record_limit < 1:
             raise ValueError("record_limit must be >= 1 or None")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        validate_fleet_options(
+            shards=shards,
+            shard_by=shard_by,
+            epoch_length=epoch_length,
+            shard_mode=shard_mode,
+            max_merge_streams=max_merge_streams,
+        )
         self.shards = shards
         self.shard_by = shard_by
         self.epoch_length = epoch_length

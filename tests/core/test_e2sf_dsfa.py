@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BucketStatus,
     DSFAConfig,
     DynamicSparseFrameAggregator,
     Event2SparseFrameConverter,
-    MergeBucket,
     MergeMode,
+    StackMergeBucket,
 )
 from repro.events import EventStream, SensorGeometry
-from repro.frames import SparseFrame, discretized_event_bins
+from repro.frames import FrameStack, SparseFrame, discretized_event_bins
+from repro.runtime.legacy import ReferenceAggregator, ReferenceMergeBucket
 
 
 def make_stream(n=2000, seed=0, geometry=None, t_end=1.0):
@@ -38,6 +38,26 @@ def make_frame(seed=0, n=100, density_scale=1.0, t_start=0.0, t_end=0.01, h=36, 
         rng.integers(0, w, count), rng.integers(0, h, count), rng.choice([-1, 1], count),
         h, w, t_start, t_end,
     )
+
+
+def push_all(dsfa, frames, hardware_available=False):
+    """Push ``frames`` in order through ``push_index`` over one stack.
+
+    Returns the result of every push (``None`` or the dispatched batch).
+    """
+    stack = FrameStack.from_frames(frames)
+    return [
+        dsfa.push_index(stack, i, hardware_available=hardware_available)
+        for i in range(len(stack))
+    ]
+
+
+def filled_bucket(frames, capacity):
+    """A StackMergeBucket holding every frame of ``frames``."""
+    bucket = StackMergeBucket(capacity, FrameStack.from_frames(frames), 0)
+    for i in range(len(frames)):
+        bucket.add_index(i)
+    return bucket
 
 
 class TestE2SF:
@@ -101,42 +121,54 @@ class TestE2SF:
 
 class TestMergeBucket:
     def test_capacity_enforced(self):
-        bucket = MergeBucket(capacity=2)
-        bucket.add(make_frame(1))
-        bucket.add(make_frame(2))
+        bucket = filled_bucket([make_frame(1), make_frame(2)], capacity=2)
         assert bucket.is_full
         with pytest.raises(RuntimeError):
-            bucket.add(make_frame(3))
+            bucket.add_index(2)
 
     def test_accepts_respects_time_threshold(self):
-        bucket = MergeBucket(capacity=4)
-        bucket.add(make_frame(1, t_start=0.0, t_end=0.01))
-        late = make_frame(2, t_start=1.0, t_end=1.01)
-        assert not bucket.accepts(late, max_delay=0.5, max_density_change=1.0)
-        assert bucket.accepts(late, max_delay=2.0, max_density_change=1.0)
+        stack = FrameStack.from_frames(
+            [make_frame(1, t_start=0.0, t_end=0.01), make_frame(2, t_start=1.0, t_end=1.01)]
+        )
+        bucket = StackMergeBucket(4, stack, 0)
+        bucket.add_index(0)
+        assert not bucket.accepts_index(1, max_delay=0.5, max_density_change=1.0)
+        assert bucket.accepts_index(1, max_delay=2.0, max_density_change=1.0)
 
     def test_accepts_respects_density_threshold(self):
-        bucket = MergeBucket(capacity=4)
-        bucket.add(make_frame(1, n=20))
-        dense = make_frame(2, n=600)
-        assert not bucket.accepts(dense, max_delay=1.0, max_density_change=0.1)
-        assert bucket.accepts(dense, max_delay=1.0, max_density_change=1.0)
+        stack = FrameStack.from_frames([make_frame(1, n=20), make_frame(2, n=600)])
+        bucket = StackMergeBucket(4, stack, 0)
+        bucket.add_index(0)
+        assert not bucket.accepts_index(1, max_delay=1.0, max_density_change=0.1)
+        assert bucket.accepts_index(1, max_delay=1.0, max_density_change=1.0)
 
     def test_merge_modes(self):
         frames = [make_frame(1), make_frame(2)]
-        bucket = MergeBucket(capacity=2, frames=list(frames))
+        bucket = filled_bucket(frames, capacity=2)
         added = bucket.merge(MergeMode.ADD)
         averaged = bucket.merge(MergeMode.AVERAGE)
         assert added.num_events == pytest.approx(sum(f.num_events for f in frames))
         assert averaged.num_events == pytest.approx(added.num_events / 2)
+        # Bit-identical to the paper-literal list bucket of the oracle.
+        reference = ReferenceMergeBucket(capacity=2)
+        for frame in frames:
+            reference.add(frame)
+        for mode in MergeMode:
+            assert frames_bit_identical(bucket.merge(mode), reference.merge(mode))
 
     def test_merge_empty_bucket_rejected(self):
+        stack = FrameStack.from_frames([make_frame(1)])
         with pytest.raises(RuntimeError):
-            MergeBucket(capacity=2).merge(MergeMode.ADD)
+            StackMergeBucket(2, stack, 0).merge(MergeMode.ADD)
+        with pytest.raises(RuntimeError):
+            ReferenceMergeBucket(capacity=2).merge(MergeMode.ADD)
 
     def test_invalid_capacity(self):
+        stack = FrameStack.from_frames([make_frame(1)])
         with pytest.raises(ValueError):
-            MergeBucket(capacity=0)
+            StackMergeBucket(0, stack, 0)
+        with pytest.raises(ValueError):
+            ReferenceMergeBucket(capacity=0)
 
 
 class TestDSFAConfig:
@@ -155,9 +187,8 @@ class TestDSFA:
     def test_buffer_overflow_triggers_dispatch(self):
         config = DSFAConfig(event_buffer_size=4, merge_bucket_size=2, max_density_change=10.0)
         dsfa = DynamicSparseFrameAggregator(config)
-        dispatched = None
-        for i in range(4):
-            dispatched = dsfa.push(make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001))
+        frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
+        dispatched = push_all(dsfa, frames)[-1]
         assert dispatched is not None
         assert dsfa.buffer_occupancy == 0
         # 4 frames in buckets of 2 -> batch of 2 merged frames.
@@ -165,16 +196,15 @@ class TestDSFA:
 
     def test_hardware_available_dispatches_early(self):
         dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=8, merge_bucket_size=4))
-        batch = dsfa.push(make_frame(0), hardware_available=True)
+        (batch,) = push_all(dsfa, [make_frame(0)], hardware_available=True)
         assert batch is not None
         assert len(batch) == 1
 
     def test_cbatch_mode_keeps_frames_separate(self):
         config = DSFAConfig(event_buffer_size=4, merge_bucket_size=4, merge_mode=MergeMode.BATCH)
         dsfa = DynamicSparseFrameAggregator(config)
-        batch = None
-        for i in range(4):
-            batch = dsfa.push(make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001))
+        frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
+        batch = push_all(dsfa, frames)[-1]
         assert batch is not None
         assert len(batch) == 4  # every frame in its own bucket
 
@@ -183,15 +213,13 @@ class TestDSFA:
                             max_time_delay=10.0)
         dsfa = DynamicSparseFrameAggregator(config)
         frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(4)]
-        batch = None
-        for frame in frames:
-            batch = dsfa.push(frame)
+        batch = push_all(dsfa, frames)[-1]
         assert batch is not None
         assert batch.num_events == pytest.approx(sum(f.num_events for f in frames))
 
     def test_flush_empties_buffer(self):
         dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=8, merge_bucket_size=2))
-        dsfa.push(make_frame(0))
+        push_all(dsfa, [make_frame(0)])
         assert dsfa.flush() is not None
         assert dsfa.flush() is None
         assert dsfa.buffer_occupancy == 0
@@ -199,22 +227,20 @@ class TestDSFA:
     def test_inference_queue_eviction(self):
         config = DSFAConfig(event_buffer_size=1, merge_bucket_size=1, inference_queue_depth=1)
         dsfa = DynamicSparseFrameAggregator(config)
-        dsfa.push(make_frame(0))
-        dsfa.push(make_frame(1))
+        push_all(dsfa, [make_frame(0), make_frame(1)])
         assert dsfa.discarded_frames > 0
         assert len(dsfa.inference_queue) == 1
 
     def test_pop_batch_fifo(self):
         dsfa = DynamicSparseFrameAggregator(DSFAConfig(event_buffer_size=1, merge_bucket_size=1))
-        dsfa.push(make_frame(0))
+        push_all(dsfa, [make_frame(0)])
         assert dsfa.pop_batch() is not None
         assert dsfa.pop_batch() is None
 
     def test_density_mismatch_opens_new_bucket(self):
         config = DSFAConfig(event_buffer_size=8, merge_bucket_size=4, max_density_change=0.05)
         dsfa = DynamicSparseFrameAggregator(config)
-        dsfa.push(make_frame(0, n=20))
-        dsfa.push(make_frame(1, n=800))
+        push_all(dsfa, [make_frame(0, n=20), make_frame(1, n=800)])
         assert dsfa.num_buckets == 2
 
 
@@ -315,14 +341,19 @@ class TestBufferOccupancyCounter:
             max_density_change=0.3,
         )
         dsfa = DynamicSparseFrameAggregator(config)
-        for i in range(40):
-            frame = make_frame(
-                seed=i,
-                n=60 if i % 5 else 600,
-                t_start=i * 0.002,
-                t_end=(i + 1) * 0.002,
-            )
-            dsfa.push(frame, hardware_available=(i % 11 == 0))
+        stack = FrameStack.from_frames(
+            [
+                make_frame(
+                    seed=i,
+                    n=60 if i % 5 else 600,
+                    t_start=i * 0.002,
+                    t_end=(i + 1) * 0.002,
+                )
+                for i in range(40)
+            ]
+        )
+        for i in range(len(stack)):
+            dsfa.push_index(stack, i, hardware_available=(i % 11 == 0))
             assert dsfa.buffer_occupancy == self._recomputed(dsfa)
         dsfa.flush()
         assert dsfa.buffer_occupancy == self._recomputed(dsfa) == 0
@@ -331,9 +362,10 @@ class TestBufferOccupancyCounter:
         dsfa = DynamicSparseFrameAggregator(
             DSFAConfig(event_buffer_size=2, merge_bucket_size=2)
         )
-        dsfa.push(make_frame(0))
+        stack = FrameStack.from_frames([make_frame(0), make_frame(1, t_start=0.01, t_end=0.02)])
+        dsfa.push_index(stack, 0)
         assert dsfa.buffer_occupancy == 1
-        batch = dsfa.push(make_frame(1, t_start=0.01, t_end=0.02))
+        batch = dsfa.push_index(stack, 1)
         assert batch is not None
         assert dsfa.buffer_occupancy == 0
 
@@ -354,9 +386,15 @@ class TestSegmentedDispatch:
             make_frame(seed=i, n=80, t_start=i * 0.002, t_end=(i + 1) * 0.002)
             for i in range(11)
         ]
-        for frame in frames:
-            dsfa.push(frame)
-        expected = [bucket.merge(mode) for bucket in dsfa._buckets]
+        push_all(dsfa, frames)
+        # The one-pass dispatch merge must equal merging each bucket's
+        # frames in the oracle's paper-literal list bucket.
+        expected = []
+        for bucket in dsfa._buckets:
+            reference = ReferenceMergeBucket(capacity=bucket.capacity)
+            for frame in frames[bucket.start : bucket.stop]:
+                reference.add(frame)
+            expected.append(reference.merge(mode))
         batch = dsfa.flush()
         assert len(batch) == len(expected)
         for merged, reference in zip(batch, expected):
@@ -381,15 +419,22 @@ def test_property_dsfa_never_loses_events_before_queue_eviction(num_frames, buck
     )
     dsfa = DynamicSparseFrameAggregator(config)
     frames = [make_frame(i, t_start=i * 0.001, t_end=(i + 1) * 0.001) for i in range(num_frames)]
-    for frame in frames:
-        dsfa.push(frame)
+    push_all(dsfa, frames)
     dsfa.flush()
     total = sum(batch.num_events for batch in dsfa.inference_queue)
     assert total == pytest.approx(sum(f.num_events for f in frames))
 
 
+def _assert_batches_identical(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert len(a) == len(b)
+        for fa, fb in zip(a, b):
+            assert frames_bit_identical(fa, fb)
+
+
 class TestStackIndexProtocol:
-    """push_index(stack, i) must be step-for-step identical to push(frame_i)."""
+    """push_index(stack, i) must be step-for-step identical to the oracle's push(frame_i)."""
 
     def _config(self, mode=MergeMode.ADD):
         return DSFAConfig(
@@ -413,33 +458,91 @@ class TestStackIndexProtocol:
         ]
 
     @pytest.mark.parametrize("mode", list(MergeMode))
-    def test_push_index_matches_push(self, mode):
-        from repro.frames import FrameStack
-
-        frames = self._frames()
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    # Always run: a mixed-density stream (one dense frame in five, the
+    # hardware idle on every seventh push), and a delay-bound stream where
+    # MtTh, not MdTh or the capacity, closes each bucket.
+    @example(
+        bucket=3,
+        spare=3,
+        max_delay=0.004,
+        max_density_change=0.3,
+        queue_depth=4,
+        pushes=[(60 if i % 5 else 600, i % 7 == 0) for i in range(40)],
+    )
+    @example(
+        bucket=5,
+        spare=5,
+        max_delay=0.005,
+        max_density_change=10.0,
+        queue_depth=2,
+        pushes=[(60, False)] * 12,
+    )
+    @given(
+        bucket=st.integers(min_value=1, max_value=6),
+        spare=st.integers(min_value=0, max_value=6),
+        max_delay=st.sampled_from([0.001, 0.003, 0.005, 0.009, 1.0]),
+        max_density_change=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0, 10.0]),
+        queue_depth=st.integers(min_value=1, max_value=4),
+        # (active-site count, hardware available): a few density levels
+        # (0 = an empty frame) so the MdTh test binds both ways, and the
+        # hardware idle on ~1 push in 4 so buckets get to fill up.
+        pushes=st.lists(
+            st.tuples(
+                st.sampled_from([0, 30, 40, 60, 120, 600]),
+                st.integers(min_value=0, max_value=3).map(lambda k: k == 0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_push_index_matches_push(
+        self, mode, bucket, spare, max_delay, max_density_change, queue_depth, pushes
+    ):
+        config = DSFAConfig(
+            event_buffer_size=bucket + spare,
+            merge_bucket_size=bucket,
+            merge_mode=mode,
+            max_time_delay=max_delay,
+            max_density_change=max_density_change,
+            inference_queue_depth=queue_depth,
+        )
+        # One frame per push on a 2 ms bin grid.
+        frames = [
+            make_frame(seed=i, n=n, t_start=i * 0.002, t_end=(i + 1) * 0.002)
+            if n
+            else SparseFrame.empty(36, 48, i * 0.002, (i + 1) * 0.002)
+            for i, (n, _) in enumerate(pushes)
+        ]
         stack = FrameStack.from_frames(frames)
-        by_frame = DynamicSparseFrameAggregator(self._config(mode))
-        by_index = DynamicSparseFrameAggregator(self._config(mode))
-        for i, frame in enumerate(frames):
-            hw = i % 7 == 0
-            a = by_frame.push(frame, hardware_available=hw)
-            b = by_index.push_index(stack, i, hardware_available=hw)
-            assert (a is None) == (b is None), i
-            if a is not None:
-                assert len(a) == len(b)
-                for fa, fb in zip(a, b):
-                    assert frames_bit_identical(fa, fb)
-            # The occupancy counter is protocol-independent state.
-            assert by_frame.buffer_occupancy == by_index.buffer_occupancy, i
-        a, b = by_frame.flush(), by_index.flush()
-        assert len(a) == len(b)
-        for fa, fb in zip(a, b):
-            assert frames_bit_identical(fa, fb)
-        assert by_frame.merge_statistics() == by_index.merge_statistics()
+        reference = ReferenceAggregator(config)
+        production = DynamicSparseFrameAggregator(config)
+        for i, (frame, (_, hw)) in enumerate(zip(frames, pushes)):
+            _assert_batches_identical(
+                reference.push(frame, hardware_available=hw),
+                production.push_index(stack, i, hardware_available=hw),
+            )
+            assert reference.buffer_occupancy == production.buffer_occupancy, i
+            assert reference.merge_statistics() == production.merge_statistics(), i
+        _assert_batches_identical(reference.flush(), production.flush())
+        assert reference.merge_statistics() == production.merge_statistics()
+
+    def test_push_index_rejects_a_second_stack(self):
+        config = DSFAConfig(event_buffer_size=8, merge_bucket_size=4)
+        first = FrameStack.from_frames(self._frames(n=3))
+        second = FrameStack.from_frames(self._frames(n=3))
+        dsfa = DynamicSparseFrameAggregator(config)
+        dsfa.push_index(first, 0)
+        with pytest.raises(ValueError):
+            dsfa.push_index(second, 1)
+        # The rejected push left the buffer untouched.
+        assert dsfa.buffer_occupancy == 1
+        assert dsfa.num_buckets == 1
+        # Once the buffer drains, the aggregator may serve another stack.
+        assert dsfa.flush() is not None
+        assert dsfa.push_index(second, 0, hardware_available=True) is not None
 
     def test_occupancy_counter_under_push_index(self):
-        from repro.frames import FrameStack
-
         frames = self._frames()
         stack = FrameStack.from_frames(frames)
         dsfa = DynamicSparseFrameAggregator(self._config())
@@ -452,8 +555,6 @@ class TestStackIndexProtocol:
         assert dsfa.buffer_occupancy == 0
 
     def test_dispatch_is_stack_backed_for_single_stream(self):
-        from repro.frames import FrameStack
-
         frames = self._frames(n=5)
         stack = FrameStack.from_frames(frames)
         dsfa = DynamicSparseFrameAggregator(self._config())
@@ -465,9 +566,6 @@ class TestStackIndexProtocol:
         assert batch.stack is not None
 
     def test_bucket_contiguity_guard(self):
-        from repro.core import StackMergeBucket
-        from repro.frames import FrameStack
-
         stack = FrameStack.from_frames(self._frames(n=4))
         bucket = StackMergeBucket(capacity=4, stack=stack, start=0)
         bucket.add_index(0)

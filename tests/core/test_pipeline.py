@@ -104,15 +104,15 @@ class TestPipeline:
     def test_kernel_run_matches_seed_reference(self, network, platform, sequence):
         """``run()`` on the event kernel must replay the seed's inline loop
         record for record (same dispatch/start/end times, energy, counters)."""
-        from repro.core.dsfa import DynamicSparseFrameAggregator
         from repro.core.e2sf import Event2SparseFrameConverter
         from repro.core.pipeline import InferenceRecord, PipelineReport
         from repro.frames.sparse import SparseFrameBatch
+        from repro.runtime.legacy import ReferenceAggregator
 
         def reference_run(pipeline, seq):
             report = PipelineReport()
             aggregator = (
-                DynamicSparseFrameAggregator(pipeline.config.dsfa)
+                ReferenceAggregator(pipeline.config.dsfa)
                 if pipeline.config.optimization.uses_dsfa
                 else None
             )

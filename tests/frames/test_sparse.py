@@ -157,13 +157,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             SparseFrameBatch([random_sparse_frame(h=8, w=8), random_sparse_frame(h=16, w=16)])
 
-    def test_batch_concatenate(self):
-        b1 = SparseFrameBatch([random_sparse_frame(seed=1)])
-        b2 = SparseFrameBatch([random_sparse_frame(seed=2), random_sparse_frame(seed=3)])
-        merged = SparseFrameBatch.concatenate([b1, b2])
-        assert len(merged) == 3
-        assert merged[0] == b1[0]
-
     def test_empty_batch(self):
         batch = SparseFrameBatch([])
         assert batch.mean_density == 0.0
@@ -313,30 +306,3 @@ class TestStackBackedBatch:
         assert empty.to_dense().shape == (0, 2, 0, 0)
         assert empty.num_events == 0.0
         assert empty.mean_density == 0.0
-
-    def test_concatenate_adjacent_views_stays_stack_backed(self):
-        _, stack = self._stack()
-        left = SparseFrameBatch.from_stack(stack, 0, 2)
-        right = SparseFrameBatch.from_stack(stack, 2, 5)
-        merged = SparseFrameBatch.concatenate([left, right])
-        assert merged.stack is stack
-        assert merged.stack_range == (0, 5)
-        assert len(merged) == 5
-
-    def test_concatenate_non_adjacent_falls_back_to_frames(self):
-        frames, stack = self._stack()
-        left = SparseFrameBatch.from_stack(stack, 0, 2)
-        right = SparseFrameBatch.from_stack(stack, 3, 5)
-        merged = SparseFrameBatch.concatenate([left, right])
-        assert merged.stack is None
-        assert len(merged) == 4
-        for view, frame in zip(merged, frames[0:2] + frames[3:5]):
-            assert view == frame
-
-    def test_concatenate_mixed_backings(self):
-        frames, stack = self._stack()
-        stacked = SparseFrameBatch.from_stack(stack, 0, 2)
-        listed = SparseFrameBatch([random_sparse_frame(seed=9)])
-        merged = SparseFrameBatch.concatenate([stacked, listed])
-        assert merged.stack is None
-        assert len(merged) == 3

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.frames import HAS_NUMBA, FrameStack, SparseFrame, jit_ifnumba, segment_add, segment_average
+from repro.frames import HAS_NUMBA, FrameStack, SparseFrame, jit_ifnumba
 from repro.frames.sparse import _grouped_reduce
 
 
@@ -158,26 +158,39 @@ class TestVectorisedQueries:
         assert stack.event_counts()[0] == 0.0
 
 
+def merge_ranges_of(groups, average=False):
+    """Merge frame groups through ``merge_ranges`` over one packed stack."""
+    stack = FrameStack.from_frames([f for group in groups for f in group])
+    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    return stack.merge_ranges(list(zip(bounds[:-1], bounds[1:])), average=average)
+
+
 class TestSegmentedMerges:
+    """The grouped-reduce merges (``SparseFrame.add`` / ``average`` and the
+    multi-group ``FrameStack.merge_ranges``) against ``add_reference``."""
+
     def test_segment_add_bit_identical_to_reference(self):
         frames = make_frames(n=5)
-        assert frames_bit_identical(segment_add(frames), SparseFrame.add_reference(frames))
+        assert frames_bit_identical(SparseFrame.add(frames), SparseFrame.add_reference(frames))
 
     def test_segment_add_fractional_values(self):
         # Averaged (non-integer) inputs exercise float accumulation order.
         frames = [f.scale(1.0 / 3.0) for f in make_frames(n=4)]
-        assert frames_bit_identical(segment_add(frames), SparseFrame.add_reference(frames))
+        assert frames_bit_identical(SparseFrame.add(frames), SparseFrame.add_reference(frames))
+        merged = merge_ranges_of([frames])
+        assert frames_bit_identical(merged.frame(0), SparseFrame.add_reference(frames))
 
     def test_segment_average_matches_scaled_add(self):
         frames = make_frames(n=4)
-        merged = segment_average(frames)
         expected = SparseFrame.add_reference(frames).scale(1.0 / 4.0)
-        assert frames_bit_identical(merged, expected)
+        assert frames_bit_identical(SparseFrame.average(frames), expected)
+        merged = merge_ranges_of([frames], average=True)
+        assert frames_bit_identical(merged.frame(0), expected)
 
     def test_merge_groups_bit_identical_to_per_bucket_add(self):
         frames = make_frames(n=12, nnz=60)
         groups = [frames[0:4], frames[4:6], frames[6:12]]
-        stack = FrameStack.merge_groups(groups)
+        stack = merge_ranges_of(groups)
         assert len(stack) == 3
         for view, group in zip(stack.frames(), groups):
             assert frames_bit_identical(view, SparseFrame.add_reference(group))
@@ -185,24 +198,32 @@ class TestSegmentedMerges:
     def test_merge_groups_average_mode(self):
         frames = make_frames(n=6, nnz=60)
         groups = [frames[0:2], frames[2:6]]
-        stack = FrameStack.merge_groups(groups, average=True)
+        stack = merge_ranges_of(groups, average=True)
         for view, group in zip(stack.frames(), groups):
-            assert frames_bit_identical(view, SparseFrame.average(group))
+            expected = SparseFrame.add_reference(group).scale(1.0 / len(group))
+            assert frames_bit_identical(view, expected)
 
     def test_merge_groups_single_frame_groups(self):
         frames = make_frames(n=3)
-        stack = FrameStack.merge_groups([[f] for f in frames])
+        stack = merge_ranges_of([[f] for f in frames])
         for view, frame in zip(stack.frames(), frames):
             assert frames_bit_identical(view, SparseFrame.add_reference([frame]))
 
     def test_merge_groups_with_empty_frames(self):
         group = [SparseFrame.empty(24, 32, 0.0, 0.1), random_sparse_frame(seed=7)]
-        stack = FrameStack.merge_groups([group])
+        stack = merge_ranges_of([group])
         assert frames_bit_identical(stack.frame(0), SparseFrame.add_reference(group))
+        # An all-empty group merges to an empty frame with the group's bounds.
+        empty = merge_ranges_of([[SparseFrame.empty(24, 32, 0.0, 0.1)], group])
+        assert empty.frame(0).num_active == 0
+        assert (empty.t_starts[0], empty.t_ends[0]) == (0.0, 0.1)
+        assert frames_bit_identical(empty.frame(1), SparseFrame.add_reference(group))
 
     def test_merge_groups_time_bounds(self):
+        # Groups whose frames are out of time order: the merged bounds are
+        # the group min/max, not the first/last frame's.
         frames = make_frames(n=4)
-        stack = FrameStack.merge_groups([[frames[2], frames[0]], [frames[3], frames[1]]])
+        stack = merge_ranges_of([[frames[2], frames[0]], [frames[3], frames[1]]])
         assert stack.t_starts[0] == frames[0].t_start
         assert stack.t_ends[0] == frames[2].t_end
         assert stack.t_starts[1] == frames[1].t_start
@@ -210,13 +231,13 @@ class TestSegmentedMerges:
 
     def test_merge_groups_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            FrameStack.merge_groups([])
+            merge_ranges_of([])
         with pytest.raises(ValueError):
-            FrameStack.merge_groups([[]])
-        with pytest.raises(ValueError):
-            FrameStack.merge_groups(
-                [[random_sparse_frame(h=24, w=32)], [random_sparse_frame(h=16, w=16)]]
+            FrameStack.from_frames(
+                [random_sparse_frame(h=24, w=32), random_sparse_frame(h=16, w=16)]
             )
+        with pytest.raises(ValueError):
+            SparseFrame.add([])
 
 
 class TestGroupedReduceKernel:
@@ -344,25 +365,24 @@ class TestSlice:
 class TestMergeRanges:
     def test_adjacent_ranges_match_merge_groups(self):
         # DSFA buckets partition a contiguous arrival run: the adjacency
-        # fast path (single parent slice) must be bit-identical to the
-        # per-group frame-view kernel.
+        # fast path (single parent slice) must be bit-identical to merging
+        # each group of frames on its own.
         frames = make_frames(n=12, nnz=60)
         stack = FrameStack.from_frames(frames)
         ranges = [(0, 4), (4, 6), (6, 12)]
         merged = stack.merge_ranges(ranges)
-        reference = FrameStack.merge_groups([frames[a:b] for a, b in ranges])
         assert len(merged) == len(ranges)
-        for view, ref in zip(merged.frames(), reference.frames()):
-            assert frames_bit_identical(view, ref)
+        for view, (a, b) in zip(merged.frames(), ranges):
+            assert frames_bit_identical(view, SparseFrame.add_reference(frames[a:b]))
 
     def test_non_adjacent_ranges_match_merge_groups(self):
+        # Gapped ranges take the concatenating path; same merged values.
         frames = make_frames(n=10, nnz=60)
         stack = FrameStack.from_frames(frames)
         ranges = [(0, 2), (3, 5), (8, 10)]
         merged = stack.merge_ranges(ranges)
-        reference = FrameStack.merge_groups([frames[a:b] for a, b in ranges])
-        for view, ref in zip(merged.frames(), reference.frames()):
-            assert frames_bit_identical(view, ref)
+        for view, (a, b) in zip(merged.frames(), ranges):
+            assert frames_bit_identical(view, SparseFrame.add_reference(frames[a:b]))
 
     def test_average_mode(self):
         frames = make_frames(n=6, nnz=60)

@@ -234,9 +234,10 @@ class TestBatchProfiles:
             ),
         )
         aggregator = DynamicSparseFrameAggregator(source.config.dsfa)
+        stack, _ = source.generate_stack()
         batch = None
-        for _, frame in source.generate_frames():
-            batch = aggregator.push(frame)
+        for index in range(len(stack)):
+            batch = aggregator.push_index(stack, index)
             if batch is not None and len(batch) > 1:
                 break
         assert batch is not None and len(batch) > 1

@@ -301,6 +301,27 @@ class TestShardedEquivalence:
         with pytest.raises(ValueError, match="epoch_length"):
             ShardedSimulator(platform, mixed_sources, shards=2, epoch_length=0.0)
 
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            (dict(shard_mode="threads"), "shard mode"),
+            (dict(shard_by="nope"), "partition rule"),
+            (dict(epoch_length=-1.0), "epoch_length"),
+            (dict(epoch_length=float("nan")), "epoch_length"),
+            (dict(max_merge_streams=0), "max_merge_streams"),
+        ],
+        ids=["shard_mode", "shard_by", "epoch_negative", "epoch_nan", "max_merge_streams"],
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_simulator_rejects_malformed_options_when_built(
+        self, platform, mixed_sources, option, match, shards
+    ):
+        # Rejected by the constructor, not deferred to run(): with shards=1
+        # the sharding options are never read, and a bad value must not
+        # run silently.
+        with pytest.raises(ValueError, match=match):
+            MultiStreamSimulator(platform, mixed_sources, shards=shards, **option)
+
 
 class TestReportMerge:
     def _run_split(self, platform, sources, k):
