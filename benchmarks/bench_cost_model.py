@@ -146,7 +146,7 @@ def test_cost_model_stacks(benchmark):
     platform = jetson_xavier_agx()
     sources = _mixed_density_fleet(NUM_STREAMS)
     for source in sources:
-        source.generate_frames()  # warm the per-source frame cache
+        source.generate_stack()  # warm the per-source frame cache
 
     stacks = [
         ("flat", dict(cost_mode="flat")),
@@ -275,7 +275,7 @@ def test_cost_model_dag_fleet(benchmark):
     platform = jetson_xavier_agx()
     sources = _dag_fleet(NUM_DAG_STREAMS)
     for source in sources:
-        source.generate_frames()
+        source.generate_stack()
 
     benchmark.pedantic(
         lambda: MultiStreamSimulator(platform, sources, cost_mode="profile").run(),

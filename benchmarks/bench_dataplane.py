@@ -43,9 +43,6 @@ Environment knobs (used by the CI smoke job):
 * ``DATAPLANE_FLEET_TIERS`` — comma-separated stream-count tiers (default
   ``64,256``).
 * ``DATAPLANE_REPEATS`` — timing repeats per cell (default 5).
-
-All numbers are pure numpy: numba, when installed, accelerates the inner
-reduction (see :mod:`repro.frames._jit`) but the gates hold without it.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from bench_utils import write_bench_json
 from repro.core import Event2SparseFrameConverter
 from repro.events import EventStream, SensorGeometry
 from repro.experiments import format_table
-from repro.frames import HAS_NUMBA, FrameStack, SparseFrame
+from repro.frames import FrameStack, SparseFrame
 from repro.hw import jetson_xavier_agx
 from repro.runtime import MultiStreamSimulator
 from repro.runtime.legacy import ReferenceStreamClient
@@ -447,6 +444,5 @@ def test_dataplane_throughput(benchmark):
                 "max_peak_alloc_ratio": 1.0,
             },
             "fleet_scenario": dict(FLEET_SCENARIO),
-            "has_numba": HAS_NUMBA,
         },
     )

@@ -140,15 +140,18 @@ def _fleet(family: str, num_streams: int, duration: float = 0.2):
 def _timed_run(platform, sources, repeats=REPEATS, cold_frames=False, **sim_kwargs):
     """Best-of-``repeats`` wall-clock of one fleet simulation.
 
-    ``cold_frames`` resets every source's frame cache before each repeat,
-    reproducing the pre-refactor behaviour of regenerating frames inside
-    every ``run()``.
+    ``cold_frames`` resets every source's render caches before each repeat
+    (the ``generate_stack`` result and arrival column the timed run reads,
+    plus the frame views over them), reproducing the pre-refactor behaviour
+    of regenerating frames inside every ``run()``.
     """
     best = float("inf")
     report = None
     for _ in range(repeats):
         if cold_frames:
             for source in sources:
+                source._stack = None
+                source._arrival_times = None
                 source._frames = None
         simulator = MultiStreamSimulator(platform, sources, **sim_kwargs)
         start = time.perf_counter()
@@ -191,7 +194,7 @@ def test_kernel_scaling(benchmark):
         for num_streams in TIERS:
             sources = _fleet(family, num_streams)
             for source in sources:
-                source.generate_frames()  # warm the per-source frame cache
+                source.generate_stack()  # warm the per-source frame cache
             if family == FAMILIES[0] and TIERS and num_streams == max(TIERS):
                 benchmark.pedantic(
                     lambda: MultiStreamSimulator(platform, sources).run(),
@@ -218,7 +221,7 @@ def test_kernel_scaling(benchmark):
                     platform, sources, cold_frames=True, **legacy_kwargs
                 )
                 for source in sources:
-                    source.generate_frames()
+                    source.generate_stack()
                 row["legacy_warm_ev_per_s"] = warm_report.events_processed / t_warm
                 row["pre_refactor_ev_per_s"] = cold_report.events_processed / t_cold
                 row["speedup_structures"] = (
@@ -290,7 +293,7 @@ def test_kernel_scaling_sharded(benchmark):
     for num_streams in SHARD_TIERS:
         sources = _fleet("steady", num_streams)
         for source in sources:
-            source.generate_frames()  # warm caches before the workers fork
+            source.generate_stack()  # warm caches before the workers fork
         if num_streams == max(SHARD_TIERS):
             benchmark.pedantic(
                 lambda: MultiStreamSimulator(

@@ -18,7 +18,12 @@ import time
 import numpy as np
 
 from bench_utils import write_bench_json
-from repro.core import FitnessEvaluator, MappingCandidate, NMPConfig
+from repro.core import (
+    ExecutionScheduler,
+    FitnessEvaluator,
+    MappingCandidate,
+    NMPConfig,
+)
 from repro.experiments import run_fig10
 from repro.experiments.fig9_multi_task import MULTI_TASK_CONFIGS
 from repro.hw import PlatformProfiler, jetson_xavier_agx
@@ -33,6 +38,14 @@ def _mixed_graph(settings):
             for name in MULTI_TASK_CONFIGS["mixed_snn_ann"]
         ]
     )
+
+
+class ReferenceScheduler(ExecutionScheduler):
+    """Routes the fitness fast path through the graph-walking oracle."""
+
+    def schedule_metrics(self, graph, mapping):
+        result = self.schedule_reference(graph, mapping)
+        return dict(result.task_latencies), result.energy
 
 
 def _evaluations_per_second(evaluator, candidates) -> float:
@@ -52,7 +65,8 @@ def test_nmp_flattened_scheduler_speedup(settings):
     candidates = [MappingCandidate.random(graph, platform, rng) for _ in range(150)]
 
     flat = FitnessEvaluator(graph, platform, profile)
-    reference = FitnessEvaluator(graph, platform, profile, use_flat_scheduler=False)
+    reference = FitnessEvaluator(graph, platform, profile)
+    reference.scheduler = ReferenceScheduler(platform, profile, sparse=True)
     # Warm up both paths (flat builds its arrays once; both touch caches).
     flat.evaluate(candidates[0])
     reference.evaluate(candidates[0])

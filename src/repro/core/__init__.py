@@ -20,10 +20,8 @@ from .nmp import (
     GreedyLayerwiseStrategy,
     MapperEngine,
     MappingCandidate,
-    NetworkMapper,
     NMPConfig,
     NMPResult,
-    RandomSearchMapper,
     RandomSearchStrategy,
     STRATEGIES,
     ScheduleResult,
@@ -64,11 +62,9 @@ __all__ = [
     "ScheduledNode",
     "FitnessEvaluator",
     "FitnessBreakdown",
-    "NetworkMapper",
     "NMPConfig",
     "NMPResult",
     "GenerationStats",
-    "RandomSearchMapper",
     "MapperEngine",
     "SearchContext",
     "SearchStrategy",

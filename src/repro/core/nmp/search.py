@@ -18,15 +18,15 @@ a strategy plug-in architecture:
   evaluation budget and stops early when the best fitness stagnates for
   ``patience`` generations.
 * Four built-in strategies: :class:`EvolutionaryStrategy` (the paper's
-  genetic search, bit-for-bit identical to the pre-engine ``NetworkMapper``
-  for a given seed), :class:`RandomSearchStrategy` (the paper's Figure 10b
-  baseline), :class:`SimulatedAnnealingStrategy` (parallel Metropolis chains
-  with geometric cooling) and :class:`GreedyLayerwiseStrategy` (coordinate
-  descent over layers: sweep every (PE, precision) option of one layer per
-  generation).
+  genetic search, Section 4.3.1), :class:`RandomSearchStrategy` (the
+  paper's Figure 10b baseline), :class:`SimulatedAnnealingStrategy`
+  (parallel Metropolis chains with geometric cooling) and
+  :class:`GreedyLayerwiseStrategy` (coordinate descent over layers: sweep
+  every (PE, precision) option of one layer per generation).
 
-``NetworkMapper`` and ``RandomSearchMapper`` remain as thin wrappers in
-:mod:`.evolutionary` / :mod:`.random_search` for backwards compatibility.
+:class:`MapperEngine` is the only search entry point: a paper-style search
+is ``MapperEngine(graph, platform, profile, config).run(
+EvolutionaryStrategy(), initial_candidates=seeds)``.
 """
 
 from __future__ import annotations
@@ -207,9 +207,24 @@ def _ranked(
 class EvolutionaryStrategy:
     """The paper's genetic search: elitism + neighbour-pair crossover + mutation.
 
-    Reproduces the pre-engine ``NetworkMapper`` exactly: for a given
-    :attr:`NMPConfig.seed` it consumes the RNG in the same order and
-    therefore returns the same best candidate and convergence history.
+    One run of :class:`MapperEngine` with this strategy:
+
+    1. sample a random initial population of mapping candidates (after any
+       warm starts);
+    2. evaluate each candidate's fitness (Equation 2) with the list
+       scheduler and the (subset-sampled, cached) accuracy evaluators;
+    3. keep the fittest candidates as parents ("elitism"), create children
+       by the paper's neighbour-pair crossover (one of each neighbouring
+       pair of parents survives with equal likelihood) and mutate a fixed
+       number of layers per child;
+    4. repeat for a configured number of generations, recording the best
+       and mean fitness per generation (the convergence curve of Figure
+       10a).
+
+    For a given :attr:`NMPConfig.seed` it consumes the RNG in a fixed order,
+    so the best candidate and convergence history are reproducible (the
+    seed-reproduction tests pin them against a verbatim re-implementation
+    of the original loop).
     """
 
     name = "evolutionary"
@@ -411,10 +426,8 @@ class MapperEngine:
     One engine owns one :class:`FitnessEvaluator` — and therefore one fitness
     cache, one flattened schedule of the graph and one per-task degradation
     cache — for any number of ``run`` calls, so strategy comparisons (Figure
-    10) and repeated online remaps reuse each other's work.
-
-    Parameters mirror the original ``NetworkMapper``; ``evaluator`` lets
-    callers share an existing evaluator across engines.
+    10) and repeated online remaps reuse each other's work.  Warm starts
+    are per run (``run(..., initial_candidates=...)``).
     """
 
     def __init__(
@@ -425,14 +438,12 @@ class MapperEngine:
         config: Optional[NMPConfig] = None,
         accuracy_evaluators: Optional[Dict[str, TaskAccuracyEvaluator]] = None,
         sparse: bool = True,
-        initial_candidates: Optional[List[MappingCandidate]] = None,
-        evaluator: Optional[FitnessEvaluator] = None,
     ) -> None:
         self.graph = graph
         self.platform = platform
         self.profile = profile
         self.config = config or NMPConfig()
-        self.evaluator = evaluator or FitnessEvaluator(
+        self.evaluator = FitnessEvaluator(
             graph,
             platform,
             profile,
@@ -440,7 +451,6 @@ class MapperEngine:
             accuracy_threshold=self.config.accuracy_threshold,
             sparse=sparse,
         )
-        self.initial_candidates = list(initial_candidates or [])
 
     # ------------------------------------------------------------------
     def run(
@@ -453,7 +463,7 @@ class MapperEngine:
 
         ``config`` overrides the engine's default configuration for this run
         (e.g. to hand different strategies an equal ``max_evaluations``
-        budget); ``initial_candidates`` overrides the warm starts.  The
+        budget); ``initial_candidates`` are the run's warm starts.  The
         ``accuracy_threshold`` cannot be overridden per run — it is baked
         into the shared evaluator (and its fitness cache) at engine
         construction, so a differing value raises rather than being
@@ -466,15 +476,12 @@ class MapperEngine:
                 f"FitnessEvaluator was built with {self.evaluator.accuracy_threshold}, "
                 f"got {cfg.accuracy_threshold}; construct a new MapperEngine instead"
             )
-        seeds = list(
-            self.initial_candidates if initial_candidates is None else initial_candidates
-        )
         ctx = SearchContext(
             graph=self.graph,
             platform=self.platform,
             config=cfg,
             rng=np.random.default_rng(cfg.seed),
-            initial_candidates=seeds,
+            initial_candidates=list(initial_candidates or []),
         )
         strategy.reset()
         evaluations_before = self.evaluator.evaluations
@@ -531,10 +538,6 @@ class MapperEngine:
             strategy=strategy.name,
             requested_evaluations=requested,
         )
-
-    def run_named(self, strategy_name: str, **kwargs) -> NMPResult:
-        """Convenience wrapper: ``run(make_strategy(strategy_name), ...)``."""
-        return self.run(make_strategy(strategy_name), **kwargs)
 
     def equal_budget_config(self, generous_generations: int = 10_000) -> NMPConfig:
         """The engine's config with ``max_evaluations`` pinned to its schedule.

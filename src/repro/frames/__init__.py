@@ -1,6 +1,5 @@
 """Event frame representations: dense frames, sparse COO frames and conversions."""
 
-from ._jit import HAS_NUMBA, jit_ifnumba
 from .dense import (
     assign_event_bins,
     bin_boundaries,
@@ -25,8 +24,6 @@ __all__ = [
     "SparseFrame",
     "SparseFrameBatch",
     "FrameStack",
-    "HAS_NUMBA",
-    "jit_ifnumba",
     "event_count_frame",
     "time_surface",
     "ev_flownet_frame",

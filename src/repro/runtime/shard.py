@@ -2,9 +2,11 @@
 
 One Python heap and one GIL cap how many streams a single
 :class:`~repro.runtime.sim.SimulationKernel` can sustain regardless of
-per-event cost.  This module partitions a fleet's
-:class:`~repro.runtime.streams.StreamSource`s into *shards* that each own
-their :class:`~repro.runtime.executor.SignatureServer`s,
+per-event cost.  ``MultiStreamSimulator(shards=N)`` is the entry point:
+its ``run`` hands the configured simulator to :class:`ShardedSimulator`,
+which partitions the fleet's :class:`~repro.runtime.streams.StreamSource`s
+into *shards* that each own their
+:class:`~repro.runtime.executor.SignatureServer`s,
 :class:`~repro.runtime.sim.NetworkCostModel`s and
 :class:`~repro.runtime.sim.LayerCostTable` outright, runs one kernel per
 shard (worker processes, or inline), and merges the per-shard streaming
@@ -34,7 +36,9 @@ platform-level accounting, so shards advance in lockstep through epochs of
 ``epoch_length`` simulated seconds: each shard runs its kernel up to the
 epoch boundary, publishes an :class:`EpochSummary` (cumulative events /
 inferences / drops plus its per-resource busy frontier) and blocks until
-every shard reached the barrier.  The protocol is *conservative* — with a
+every shard reached the barrier.  One generator, :func:`_lockstep`, runs
+a shard's epochs; the worker process and the inline driver only differ in
+how they step it.  The protocol is *conservative* — with a
 signature-disjoint partition no cross-shard event can exist, so pausing a
 kernel at a barrier never reorders its heap and the merged result is
 independent of the epoch length (property-tested).  The summaries are the
@@ -56,7 +60,7 @@ import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .sim import NetworkCostModel
 from .streams import (
@@ -73,7 +77,6 @@ __all__ = [
     "signature_groups",
     "partition_sources",
     "epoch_rows",
-    "ShardedSimulator",
 ]
 
 # Epochs a fleet's horizon is divided into when no epoch length is given:
@@ -280,29 +283,45 @@ def _summarize(shard_id, epoch, t_end, kernel, clients) -> EpochSummary:
     )
 
 
-def _shard_worker(conn, shard_id, platform, sources, sim_kwargs, boundaries):
-    """Worker-process entry point: one shard's epoch-lockstep simulation.
+def _lockstep(shard_id, platform, sources, sim_kwargs, boundaries):
+    """One shard's epoch-lockstep simulation, as a generator.
 
-    Runs the shard's kernel to each epoch boundary, sends the summary and
-    blocks on the parent's ``"proceed"`` token (the barrier), then drains
-    the kernel and ships the shard report.  Module-level so it is picklable
-    under spawn start methods; under fork the sources arrive without any
-    serialisation cost.
+    Builds and primes the shard's :class:`MultiStreamSimulator` on the
+    first step, then yields an :class:`EpochSummary` each time the kernel
+    reaches one of ``boundaries``; after the last boundary it drains the
+    kernel and yields ``(report, final_summary)``.  The caller owns the
+    barrier: :func:`_shard_worker` steps it across a pipe, the inline
+    driver steps every shard's generator in turn, and a lone shard drains
+    it with no boundaries.
+    """
+    simulator = MultiStreamSimulator(platform, sources, **sim_kwargs)
+    kernel, clients, remaps_before = simulator._setup(None)
+    for epoch, boundary in enumerate(boundaries):
+        kernel.run(until=boundary)
+        yield _summarize(shard_id, epoch, boundary, kernel, clients)
+    end_time = kernel.run()
+    report = simulator._finalize(kernel, clients, remaps_before, None, end_time)
+    yield report, _summarize(shard_id, len(boundaries), end_time, kernel, clients)
+
+
+def _shard_worker(conn, shard_id, platform, sources, sim_kwargs, boundaries):
+    """Worker-process entry point: :func:`_lockstep` stepped across a pipe.
+
+    Sends each epoch summary and blocks on the parent's ``"proceed"``
+    token (the barrier), then ships the shard report; any failure is sent
+    as its traceback.  Module-level so it is picklable under spawn start
+    methods; under fork the sources arrive without any serialisation cost.
     """
     try:
-        simulator = MultiStreamSimulator(platform, sources, **sim_kwargs)
-        kernel, clients, remaps_before = simulator._setup(None)
-        for epoch, boundary in enumerate(boundaries):
-            kernel.run(until=boundary)
-            conn.send(("epoch", _summarize(shard_id, epoch, boundary, kernel, clients)))
+        shard = _lockstep(shard_id, platform, sources, sim_kwargs, boundaries)
+        for _ in boundaries:
+            conn.send(("epoch", next(shard)))
             token = conn.recv()
             if token != "proceed":
                 raise RuntimeError(f"unexpected barrier token {token!r}")
-        end_time = kernel.run()
-        report = simulator._finalize(kernel, clients, remaps_before, None, end_time)
-        final = _summarize(shard_id, len(boundaries), end_time, kernel, clients)
+        report, final = next(shard)
         conn.send(("done", report, final))
-    except Exception:  # pragma: no cover - exercised via the parent's error path
+    except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
@@ -312,54 +331,29 @@ def _shard_worker(conn, shard_id, platform, sources, sim_kwargs, boundaries):
 # orchestration
 # ----------------------------------------------------------------------
 class ShardedSimulator:
-    """Partition a fleet, run one kernel per shard, merge the reports.
+    """Partition a configured fleet, run one kernel per shard, merge the reports.
 
-    Parameters
-    ----------
-    platform:
-        The platform model.  Every shard receives the same object (fork) or
-        an identical copy (spawn); under ``by="signature"`` each shard's
-        kernel tracks its own busy time, i.e. shards behave like platform
-        replicas.
-    sources:
-        The full fleet; partitioned by :func:`partition_sources`.
-    shards / shard_by:
-        Requested shard count and partition rule.  The effective count may
-        be lower (see :class:`ShardPlan`); with one effective shard the run
-        collapses to a plain in-process :class:`MultiStreamSimulator` —
-        bit-identical to the unsharded kernel.
-    epoch_length:
-        Barrier interval in simulated seconds; ``None`` divides the fleet
-        horizon into :data:`DEFAULT_EPOCHS` epochs.
-    mode:
-        ``"process"`` — one worker process per shard, epoch barriers over
-        pipes (falls back to inline inside daemonic processes, which may
-        not fork children — e.g. sweep pool workers).  ``"inline"`` — the
-        same lockstep protocol run sequentially in one process: identical
-        results, no parallelism, no pickling.
-    **sim_kwargs:
-        Forwarded verbatim to every shard's :class:`MultiStreamSimulator`.
+    Built by :meth:`MultiStreamSimulator.run` when ``shards > 1``; every
+    option comes from that simulator, which has already validated it.
+    The effective shard count may be lower than requested (see
+    :class:`ShardPlan`); with one effective shard the run collapses to a
+    single in-process kernel, bit-identical to the unsharded run.  Under
+    ``shard_mode="process"`` each shard runs in a worker process with
+    epoch barriers over pipes, falling back to inline inside daemonic
+    processes, which may not fork children (e.g. sweep pool workers);
+    ``"inline"`` runs the same lockstep protocol sequentially in one
+    process, with identical results.
     """
 
-    def __init__(
-        self,
-        platform,
-        sources: Sequence[StreamSource],
-        shards: int = 2,
-        shard_by: str = "signature",
-        epoch_length: Optional[float] = None,
-        mode: str = "process",
-        **sim_kwargs,
-    ) -> None:
-        validate_fleet_options(epoch_length=epoch_length, shard_mode=mode)
-        self.platform = platform
-        self.sources = list(sources)
+    def __init__(self, simulator: MultiStreamSimulator) -> None:
+        self.platform = simulator.platform
+        self.sources = simulator.sources
         self.plan = partition_sources(
-            self.sources, shards, by=shard_by, platform=platform
+            self.sources, simulator.shards, by=simulator.shard_by, platform=self.platform
         )
-        self.epoch_length = epoch_length
-        self.mode = mode
-        self.sim_kwargs = dict(sim_kwargs)
+        self.epoch_length = simulator.epoch_length
+        self.mode = simulator.shard_mode
+        self.sim_kwargs = simulator._shard_sim_kwargs
 
     # ------------------------------------------------------------------
     def _boundaries(self) -> List[float]:
@@ -378,19 +372,17 @@ class ShardedSimulator:
         num_epochs = max(int(math.ceil(horizon / length)), 1)
         return [length * e for e in range(1, num_epochs)]
 
-    def _shard_fleets(self) -> List[List[StreamSource]]:
-        return [
-            [self.sources[i] for i in indices] for indices in self.plan.assignments
-        ]
-
     def run(self) -> MultiStreamReport:
         """Simulate every shard to completion and merge the shard reports."""
         if self.plan.num_shards == 1:
-            return MultiStreamSimulator(
-                self.platform, self.sources, **self.sim_kwargs
-            ).run()
+            report, _ = next(
+                _lockstep(0, self.platform, self.sources, self.sim_kwargs, [])
+            )
+            return report
         boundaries = self._boundaries()
-        fleets = self._shard_fleets()
+        fleets = [
+            [self.sources[i] for i in indices] for indices in self.plan.assignments
+        ]
         mode = self.mode
         if mode == "process" and multiprocessing.current_process().daemon:
             # Daemonic workers (e.g. sweep pool processes) may not have
@@ -410,29 +402,18 @@ class ShardedSimulator:
     ) -> Tuple[List[MultiStreamReport], List[EpochSummary]]:
         """Sequential lockstep: every shard reaches epoch ``e`` before any
         shard enters epoch ``e + 1`` — the barrier, minus the processes."""
-        simulators = [
-            MultiStreamSimulator(self.platform, fleet, **self.sim_kwargs)
-            for fleet in fleets
+        shards = [
+            _lockstep(shard_id, self.platform, fleet, self.sim_kwargs, boundaries)
+            for shard_id, fleet in enumerate(fleets)
         ]
-        states = [simulator._setup(None) for simulator in simulators]
         summaries: List[EpochSummary] = []
-        for epoch, boundary in enumerate(boundaries):
-            for shard_id, (kernel, clients, _) in enumerate(states):
-                kernel.run(until=boundary)
-                summaries.append(
-                    _summarize(shard_id, epoch, boundary, kernel, clients)
-                )
+        for _ in boundaries:
+            summaries.extend(next(shard) for shard in shards)
         reports = []
-        for shard_id, (simulator, (kernel, clients, remaps_before)) in enumerate(
-            zip(simulators, states)
-        ):
-            end_time = kernel.run()
-            summaries.append(
-                _summarize(shard_id, len(boundaries), end_time, kernel, clients)
-            )
-            reports.append(
-                simulator._finalize(kernel, clients, remaps_before, None, end_time)
-            )
+        for shard in shards:
+            report, final = next(shard)
+            reports.append(report)
+            summaries.append(final)
         return reports, summaries
 
     def _run_process(
@@ -474,18 +455,18 @@ class ShardedSimulator:
                     summaries.append(payload)
                 for conn in connections:
                     conn.send("proceed")
-            reports: List[Optional[MultiStreamReport]] = [None] * len(fleets)
+            reports: List[MultiStreamReport] = []
             for shard_id, conn in enumerate(connections):
                 kind, *payload = self._recv(conn, shard_id, expect_done=True)
                 if kind != "done":
                     raise RuntimeError(
                         f"shard {shard_id}: expected final report, got {kind!r}"
                     )
-                reports[shard_id] = payload[0]
+                reports.append(payload[0])
                 summaries.append(payload[1])
             for process in processes:
                 process.join(timeout=60.0)
-            return [report for report in reports if report is not None], summaries
+            return reports, summaries
         finally:
             for conn in connections:
                 conn.close()

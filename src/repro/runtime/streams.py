@@ -116,9 +116,8 @@ def validate_fleet_options(
 
     The one home of these checks: :class:`MultiStreamSimulator` runs them
     at construction (so a bad option fails even when ``shards=1`` would
-    never read it), and :class:`~repro.runtime.shard.ShardedSimulator` /
-    :func:`~repro.runtime.shard.partition_sources` reuse them.  Options
-    left at their defaults are valid.
+    never read it), and :func:`~repro.runtime.shard.partition_sources`
+    reuses them.  Options left at their defaults are valid.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -1081,15 +1080,7 @@ class MultiStreamSimulator:
                 )
             from .shard import ShardedSimulator  # local: shard imports streams
 
-            return ShardedSimulator(
-                self.platform,
-                self.sources,
-                shards=self.shards,
-                shard_by=self.shard_by,
-                epoch_length=self.epoch_length,
-                mode=self.shard_mode,
-                **self._shard_sim_kwargs,
-            ).run()
+            return ShardedSimulator(self).run()
         kernel, clients, remaps_before = self._setup(trace)
         end_time = kernel.run()
         return self._finalize(kernel, clients, remaps_before, trace, end_time)

@@ -15,8 +15,6 @@ from repro.core import (
     MapperEngine,
     MappingCandidate,
     NMPConfig,
-    NetworkMapper,
-    RandomSearchMapper,
     RandomSearchStrategy,
     STRATEGIES,
     SimulatedAnnealingStrategy,
@@ -48,8 +46,16 @@ def profile(platform, graph):
     return PlatformProfiler(platform).profile(graph, occupancy=0.1)
 
 
+class ReferenceScheduler(ExecutionScheduler):
+    """Routes the fitness fast path through the graph-walking oracle."""
+
+    def schedule_metrics(self, graph, mapping):
+        result = self.schedule_reference(graph, mapping)
+        return dict(result.task_latencies), result.energy
+
+
 def seed_reference_evolutionary(graph, platform, profile, config, initial_candidates=()):
-    """The pre-engine ``NetworkMapper.run`` loop, re-implemented verbatim.
+    """The pre-engine evolutionary search loop, re-implemented verbatim.
 
     The refactored engine must reproduce this bit-for-bit for a given seed
     (the Figure-10 regression contract).
@@ -112,7 +118,9 @@ class TestSeedReproduction:
         expected_candidate, expected_best, expected_history = (
             seed_reference_evolutionary(graph, platform, profile, config)
         )
-        result = NetworkMapper(graph, platform, profile, config).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy()
+        )
         assert result.best_candidate.key() == expected_candidate.key()
         assert result.best_breakdown.fitness == expected_best.fitness
         assert [
@@ -125,9 +133,9 @@ class TestSeedReproduction:
         expected_candidate, _, expected_history = seed_reference_evolutionary(
             graph, platform, profile, config, initial_candidates=seeds
         )
-        result = NetworkMapper(
-            graph, platform, profile, config, initial_candidates=seeds
-        ).run()
+        result = MapperEngine(graph, platform, profile, config).run(
+            EvolutionaryStrategy(), initial_candidates=seeds
+        )
         assert result.best_candidate.key() == expected_candidate.key()
         assert [
             (g.best_fitness, g.mean_fitness, g.best_latency) for g in result.history
@@ -378,9 +386,8 @@ class TestDeltaEvaluation:
 
     def test_flat_and_reference_fitness_agree(self, graph, platform, profile):
         flat = FitnessEvaluator(graph, platform, profile)
-        reference = FitnessEvaluator(
-            graph, platform, profile, use_flat_scheduler=False
-        )
+        reference = FitnessEvaluator(graph, platform, profile)
+        reference.scheduler = ReferenceScheduler(platform, profile, sparse=True)
         rng = np.random.default_rng(2)
         for _ in range(8):
             candidate = MappingCandidate.random(graph, platform, rng)
@@ -389,18 +396,3 @@ class TestDeltaEvaluation:
                 == reference.evaluate(candidate).fitness
             )
 
-
-class TestMapperCompatibility:
-    def test_network_mapper_exposes_engine_and_evaluator(self, graph, platform, profile):
-        mapper = NetworkMapper(graph, platform, profile, NMPConfig(population_size=4, generations=2))
-        assert mapper.evaluator is mapper.engine.evaluator
-        result = mapper.run()
-        assert result.strategy == "evolutionary"
-
-    def test_random_mapper_runs_through_engine(self, graph, platform, profile):
-        mapper = RandomSearchMapper(
-            graph, platform, profile, NMPConfig(population_size=4, generations=2)
-        )
-        result = mapper.run()
-        assert result.strategy == "random"
-        assert result.requested_evaluations == 8

@@ -24,7 +24,7 @@ from repro.runtime import (
     MultiStreamReport,
     MultiStreamSimulator,
     NetworkCostModel,
-    ShardedSimulator,
+    StreamClient,
     StreamSource,
     partition_sources,
     signature_groups,
@@ -295,22 +295,24 @@ class TestShardedEquivalence:
         assert sum(row["inferences"] for row in rows) == report.total_inferences
         assert sum(row["frames_dropped"] for row in rows) == report.frames_dropped
 
-    def test_invalid_modes_raise(self, platform, mixed_sources):
-        with pytest.raises(ValueError, match="mode"):
-            ShardedSimulator(platform, mixed_sources, shards=2, mode="threads")
-        with pytest.raises(ValueError, match="epoch_length"):
-            ShardedSimulator(platform, mixed_sources, shards=2, epoch_length=0.0)
-
     @pytest.mark.parametrize(
         "option, match",
         [
             (dict(shard_mode="threads"), "shard mode"),
             (dict(shard_by="nope"), "partition rule"),
+            (dict(epoch_length=0.0), "epoch_length"),
             (dict(epoch_length=-1.0), "epoch_length"),
             (dict(epoch_length=float("nan")), "epoch_length"),
             (dict(max_merge_streams=0), "max_merge_streams"),
         ],
-        ids=["shard_mode", "shard_by", "epoch_negative", "epoch_nan", "max_merge_streams"],
+        ids=[
+            "shard_mode",
+            "shard_by",
+            "epoch_zero",
+            "epoch_negative",
+            "epoch_nan",
+            "max_merge_streams",
+        ],
     )
     @pytest.mark.parametrize("shards", [1, 2])
     def test_simulator_rejects_malformed_options_when_built(
@@ -321,6 +323,56 @@ class TestShardedEquivalence:
         # run silently.
         with pytest.raises(ValueError, match=match):
             MultiStreamSimulator(platform, mixed_sources, shards=shards, **option)
+
+
+class InjectedSetupError(Exception):
+    pass
+
+
+def _cpu_streams_fail_setup(source, *args, **kwargs):
+    """Client factory whose construction fails for the CPU-pinned streams,
+    so exactly one ``platform_group`` shard raises during its setup."""
+    if source.name.startswith("c"):
+        raise InjectedSetupError(f"no client for {source.name}")
+    return StreamClient(source, *args, **kwargs)
+
+
+class TestShardFailures:
+    def _failing(self, platform, sources, mode):
+        return MultiStreamSimulator(
+            platform,
+            sources,
+            shards=2,
+            shard_by="platform_group",
+            shard_mode=mode,
+            client_factory=_cpu_streams_fail_setup,
+        )
+
+    def test_process_worker_failure_names_shard_and_carries_traceback(
+        self, platform, disjoint_sources
+    ):
+        plan = partition_sources(
+            disjoint_sources, 2, by="platform_group", platform=platform
+        )
+        failing = next(
+            shard
+            for shard, bucket in enumerate(plan.assignments)
+            if disjoint_sources[bucket[0]].name.startswith("c")
+        )
+        # The healthy shard blocks at its first barrier; the parent must
+        # still surface the failure and tear both workers down.
+        with pytest.raises(RuntimeError) as excinfo:
+            self._failing(platform, disjoint_sources, "process").run()
+        message = str(excinfo.value)
+        assert message.startswith(f"shard {failing} worker failed:")
+        assert "Traceback" in message
+        assert "InjectedSetupError: no client for c0" in message
+
+    def test_inline_failure_raises_the_original_error(
+        self, platform, disjoint_sources
+    ):
+        with pytest.raises(InjectedSetupError, match="no client for c0"):
+            self._failing(platform, disjoint_sources, "inline").run()
 
 
 class TestReportMerge:
